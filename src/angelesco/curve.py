@@ -25,6 +25,8 @@ from .errors import (
     ClassificationError,
     InternalInconsistency,
     RegimeError,
+    ShapeError,
+    SingularSystem,
     SolveFailure,
 )
 from .precision import find_root
@@ -100,11 +102,39 @@ def _Rpp(w, p):
     return 2 * A1 / (w - B1) ** 3 + 2 * A2 / (w - B2) ** 3
 
 
+def _zero_of_Rp(p, lo, hi, tol, ctx):
+    """The zero of R' in the sign-change bracket [lo, hi], by Newton with R''.
+
+    A step that would leave the bracket is replaced by bisection. The step
+    size is tested before the bracket: at the rounding floor x - dx rounds
+    to x, which is no longer strictly inside the shrunken bracket.
+    """
+    lo_positive = _Rp(lo, p) > 0
+    x = (lo + hi) / 2
+    for _ in range(2 * ctx.mantissa_bits + 128):
+        f = _Rp(x, p)
+        if f == 0:
+            return x
+        if (f > 0) == lo_positive:
+            lo = x
+        else:
+            hi = x
+        # R'' has its one zero at wm, an end of the inner brackets
+        dx = f / _Rpp(x, p)
+        if abs(dx) <= tol:
+            return x - dx
+        if hi - lo <= tol:
+            return (lo + hi) / 2
+        x = x - dx if lo < x - dx < hi else (lo + hi) / 2
+    raise SolveFailure("critical-point Newton did not converge")
+
+
 def _critical_points(p, ctx):
     """The four real zeros w1 < B1 < w2 <= w3 < B2 < w4 of R'.
 
     The outer pair is bracketed by expanding away from the poles; the middle
-    pair is split by the closed-form zero of R'' between the poles.
+    pair is split by the closed-form zero of R'' between the poles. Each
+    zero is then found by bracketed Newton (``_zero_of_Rp``).
     """
     A1, A2, B1, B2 = p
     if not (A1 > 0 and A2 > 0 and B1 < B2):
@@ -127,8 +157,8 @@ def _critical_points(p, ctx):
         inner /= 65536
         if inner < ctx.solve_tolerance:
             raise SolveFailure("poles too degenerate for bracketing")
-    w1 = find_root(lambda w: _Rp(w, p), grow_bracket(B1, -1), B1 - inner, ctx, tol=tol)
-    w4 = find_root(lambda w: _Rp(w, p), B2 + inner, grow_bracket(B2, +1), ctx, tol=tol)
+    w1 = _zero_of_Rp(p, grow_bracket(B1, -1), B1 - inner, tol, ctx)
+    w4 = _zero_of_Rp(p, B2 + inner, grow_bracket(B2, +1), tol, ctx)
     # R'' has exactly one zero between the poles, at the top of the bump
     t = (A2 / A1) ** (mp.mpf(1) / 3)
     wm = (B2 + t * B1) / (1 + t)
@@ -140,8 +170,8 @@ def _critical_points(p, ctx):
     innerR = inner
     while _Rp(B2 - innerR, p) > 0:
         innerR /= 65536
-    w2 = find_root(lambda w: _Rp(w, p), B1 + innerL, wm, ctx, tol=tol)
-    w3 = find_root(lambda w: _Rp(w, p), wm, B2 - innerR, ctx, tol=tol)
+    w2 = _zero_of_Rp(p, B1 + innerL, wm, tol, ctx)
+    w3 = _zero_of_Rp(p, wm, B2 - innerR, tol, ctx)
     return (w1, w2, w3, w4)
 
 
@@ -183,7 +213,7 @@ def _newton(F, x0, ctx, validator=None, max_iter=80):
             J = _fd_jacobian(lambda y: F(y)[0], x, fx, ctx)
         try:
             step, _ = solve_dense(J, [-v for v in fx], ctx)
-        except Exception as exc:
+        except (SingularSystem, ShapeError) as exc:
             raise SolveFailure(f"Newton linear solve failed: {exc}") from exc
         lam = mp.mpf(1)
         for _ in range(60):
@@ -338,10 +368,22 @@ def chi_solve(branch_points, ctx, seed=None):
         return params, w_crit, resid
 
 
+_FULL_MAP_CACHE = {}
+
+
+def _full_map(geometry, ctx):
+    """chi_solve on the full supports, once per (endpoints, bits, tolerance)."""
+    key = (geometry.as_tuple(), ctx.mantissa_bits, ctx.solve_tolerance)
+    hit = _FULL_MAP_CACHE.get(key)
+    if hit is None:
+        hit = _FULL_MAP_CACHE[key] = chi_solve(geometry.as_tuple(), ctx)
+    return hit
+
+
 def critical_thresholds(geometry, ctx):
     """Regime thresholds c* < c** from the full-interval surface."""
     with ctx.workprec():
-        params, w_crit, _ = chi_solve(geometry.as_tuple(), ctx)
+        params, w_crit, _ = _full_map(geometry, ctx)
         c_star = _mass_of_wstar(params, w_crit, w_crit[1])
         c_dstar = _mass_of_wstar(params, w_crit, w_crit[2])
         if not (0 < c_star < c_dstar < 1):
@@ -475,7 +517,7 @@ def curve(geometry, c, ctx, with_dc=True):
         th = critical_thresholds(g, ctx)
         K = 1 - c + c * c
         if th.c_star <= c <= th.c_dstar:
-            params, w_crit, resid = chi_solve(g.as_tuple(), ctx)
+            params, w_crit, resid = _full_map(g, ctx)
             w_star = _wstar_of_mass(params, w_crit, c)
             tol = mp.sqrt(ctx.solve_tolerance) * max(1, abs(w_crit[3]))
             if not (w_crit[1] - tol <= w_star <= w_crit[2] + tol):

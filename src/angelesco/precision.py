@@ -168,11 +168,20 @@ def poly_divmod(num, den):
 _GL_CACHE = {}
 
 
+def _legendre_and_derivative(x, m):
+    """P_m(x) and P_m'(x) by the three-term recurrence (|x| < 1)."""
+    p_prev, p = mp.mpf(1), x
+    for j in range(1, m):
+        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+    return p, m * (x * p - p_prev) / (x * x - 1)
+
+
 def gauss_legendre(m, ctx):
     """Nodes and weights of the m-point Gauss-Legendre rule on [-1, 1].
 
-    Nodes are computed by Newton iteration on the three-term Legendre
-    recurrence from Chebyshev initial guesses, at full context precision.
+    The m//2 positive nodes are computed by Newton iteration on the
+    three-term Legendre recurrence from Chebyshev initial guesses, at full
+    context precision, and mirrored; for odd m the middle node is exactly 0.
     Returns (nodes, weights) with nodes strictly increasing.
     """
     m = int(m)
@@ -183,30 +192,25 @@ def gauss_legendre(m, ctx):
     if hit is not None:
         return hit
     with mp.workprec(ctx.mantissa_bits + 20):
-        if m == 1:
-            nodes, weights = [mp.mpf(0)], [mp.mpf(2)]
-        else:
-            tol = mp.mpf(2) ** (-ctx.mantissa_bits - 10)
-            nodes, weights = [], []
-            for k in range(1, m + 1):
-                x = mp.cos(mp.pi * (k - mp.mpf(1) / 4) / (m + mp.mpf(1) / 2))
-                for _ in range(200):
-                    p_prev, p = mp.mpf(1), x
-                    for j in range(1, m):
-                        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
-                    dp = m * (x * p - p_prev) / (x * x - 1)
-                    dx = p / dp
-                    x -= dx
-                    if abs(dx) <= tol * (1 + abs(x)):
-                        break
-                p_prev, p = mp.mpf(1), x
-                for j in range(1, m):
-                    p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
-                dp = m * (x * p - p_prev) / (x * x - 1)
-                nodes.append(x)
-                weights.append(2 / ((1 - x * x) * dp * dp))
-            nodes.reverse()
-            weights.reverse()
+        tol = mp.mpf(2) ** (-ctx.mantissa_bits - 10)
+        positive, positive_weights = [], []
+        for k in range(1, m // 2 + 1):
+            x = mp.cos(mp.pi * (k - mp.mpf(1) / 4) / (m + mp.mpf(1) / 2))
+            for _ in range(200):
+                p, dp = _legendre_and_derivative(x, m)
+                dx = p / dp
+                x -= dx
+                if abs(dx) <= tol * (1 + abs(x)):
+                    break
+            _, dp = _legendre_and_derivative(x, m)
+            positive.append(x)
+            positive_weights.append(2 / ((1 - x * x) * dp * dp))
+        middle, middle_weight = [], []
+        if m % 2:
+            _, dp = _legendre_and_derivative(mp.mpf(0), m)
+            middle, middle_weight = [mp.mpf(0)], [2 / (dp * dp)]
+        nodes = [-x for x in positive] + middle + positive[::-1]
+        weights = positive_weights + middle_weight + positive_weights[::-1]
     with ctx.workprec():
         nodes = [+x for x in nodes]
         weights = [+w for w in weights]

@@ -93,8 +93,9 @@ class SyntheticSource:
         hit = self._cache.get(c)
         if hit is None:
             from .curve import curve
-            cd = curve(self.geometry, mp.mpf(c.numerator) / c.denominator,
-                       self.ctx, with_dc=False)
+            with self.ctx.workprec():
+                c_mp = mp.mpf(c.numerator) / c.denominator
+            cd = curve(self.geometry, c_mp, self.ctx, with_dc=False)
             hit = tuple(float(v) for v in (cd.A1, cd.A2, cd.B1, cd.B2))
             self._cache[c] = hit
         return hit

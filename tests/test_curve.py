@@ -1,5 +1,9 @@
+import sys
+
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from angelesco.curve import (
     MIDDLE,
@@ -17,6 +21,7 @@ from angelesco.curve import (
     h_branch,
     upsilon,
 )
+from angelesco.curve import _critical_points, _newton, _Rp, _Rpp
 from angelesco.errors import RegimeError, SolveFailure
 from angelesco.mops import Geometry, reference_geometry
 from angelesco.precision import PrecisionContext
@@ -66,6 +71,70 @@ def test_chi_solve_collapsing_interval_limits():
 def test_chi_solve_rejects_bad_points():
     with pytest.raises(SolveFailure):
         chi_solve((1, 0, 2, 3), CTX)
+
+
+def _quartic_roots(p, bits):
+    """Zeros of (w-B1)^2 (w-B2)^2 - A1 (w-B2)^2 - A2 (w-B1)^2, the numerator of R'."""
+    A1, A2, B1, B2 = p
+    with mp.workprec(2 * bits + 64):
+        s1, s2 = B1 + B2, B1 * B2
+        coeffs = [1, -2 * s1, s1 ** 2 + 2 * s2 - A1 - A2,
+                  -2 * s1 * s2 + 2 * A1 * B2 + 2 * A2 * B1,
+                  s2 ** 2 - A1 * B2 ** 2 - A2 * B1 ** 2]
+        roots = mp.polyroots(coeffs, maxsteps=400, extraprec=2 * bits)
+        return sorted(mp.re(r) for r in roots)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bits=st.sampled_from([128, 192, 512]),
+       log_a1=st.floats(-10, 1), log_a2=st.floats(-10, 1),
+       b1=st.floats(-3, 3), margin=st.floats(0.05, 3))
+def test_critical_points_match_quartic_roots(bits, log_a1, log_a2, b1, margin):
+    ctx = PrecisionContext(bits)
+    with ctx.workprec():
+        A1, A2 = mp.mpf(10) ** log_a1, mp.mpf(10) ** log_a2
+        # the middle pair is real iff B2 - B1 > (A1^(1/3) + A2^(1/3))^(3/2)
+        gap = (mp.cbrt(A1) + mp.cbrt(A2)) ** mp.mpf(1.5) * (1 + mp.mpf(margin))
+        p = (A1, A2, mp.mpf(b1), mp.mpf(b1) + gap)
+        w = _critical_points(p, ctx)
+        B1, B2 = p[2], p[3]
+        assert w[0] < B1 < w[1] <= w[2] < B2 < w[3]
+        scale = max(1, abs(B1), abs(B2))
+        for wj, ref in zip(w, _quartic_roots(p, bits)):
+            assert abs(wj - ref) <= mp.mpf(2) ** (8 - bits) * scale
+            # rounding floor of R' at wj: its terms' size, and its slope times |wj|
+            floor = 1 + A1 / (wj - B1) ** 2 + A2 / (wj - B2) ** 2 + abs(_Rpp(wj, p)) * scale
+            assert abs(_Rp(wj, p)) <= mp.mpf(2) ** (8 - bits) * floor
+
+
+def test_full_map_solved_once_per_geometry_and_bits(monkeypatch):
+    module = sys.modules["angelesco.curve"]
+    bits_seen = []
+    real_chi_solve = module.chi_solve
+
+    def counting(branch_points, ctx, seed=None):
+        bits_seen.append(ctx.mantissa_bits)
+        return real_chi_solve(branch_points, ctx, seed)
+
+    monkeypatch.setattr(module, "chi_solve", counting)
+    monkeypatch.setattr(module, "_FULL_MAP_CACHE", {})
+    g = Geometry("-2.3", "-1", "1", "1.9")
+    ctx = PrecisionContext(192)
+    critical_thresholds(g, ctx)
+    cd4, cd6 = curve(g, "0.4", ctx), curve(g, "0.6", ctx)
+    assert cd4.regime == cd6.regime == MIDDLE
+    assert cd4.params() == cd6.params()
+    assert bits_seen == [192]
+    curve(g, "0.5", PrecisionContext(256))
+    assert bits_seen == [192, 256]
+
+
+def test_newton_types_only_linear_algebra_failures():
+    with pytest.raises(SolveFailure):
+        _newton(lambda x: ([x[0] - 1], [[0]]), [0], CTX)
+    # an entry that cannot become an mpf is a programming error, not a failed solve
+    with pytest.raises(TypeError):
+        _newton(lambda x: ([x[0] - 1], [[object()]]), [0], CTX)
 
 
 def test_thresholds_symmetry_and_range(thresholds):

@@ -41,6 +41,8 @@ def test_gauss_legendre_weight_sum_and_ordering(m):
     assert all(x < y for x, y in zip(nodes, nodes[1:]))
     assert all(w > 0 for w in weights)
     with CTX.workprec():
+        assert all(nodes[i] == -nodes[m - 1 - i] for i in range(m))
+        assert all(weights[i] == weights[m - 1 - i] for i in range(m))
         assert abs(mp.fsum(weights) - 2) < CTX.eps * 64
 
 

@@ -1,3 +1,7 @@
+import sys
+from fractions import Fraction
+from types import SimpleNamespace
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -37,6 +41,19 @@ def cd_half():
 @pytest.fixture(scope="module")
 def synthetic():
     return SyntheticSource(G0, bits=192)
+
+
+def test_synthetic_source_passes_c_at_context_precision(monkeypatch):
+    seen = []
+
+    def fake_curve(geometry, c, ctx, with_dc=True):
+        seen.append(c)
+        return SimpleNamespace(A1=1, A2=1, B1=-1, B2=1)
+
+    monkeypatch.setattr(sys.modules["angelesco.curve"], "curve", fake_curve)
+    SyntheticSource(G0, bits=192).constants(Fraction(1, 3))
+    with mp.workprec(192):
+        assert seen == [mp.mpf(1) / 3]
 
 
 def test_build_tree_structure():
