@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import tempfile
+from fractions import Fraction
 
 import mpmath as mp
 
@@ -122,8 +123,6 @@ def cmd_nnrr(args, ctx):
         for (n1, n2) in sorted(table.entries):
             if n1 + n2 == 0:
                 continue
-            from fractions import Fraction
-
             cfrac = Fraction(n1, n1 + n2)
             if cfrac not in const_cache:
                 cd = curve(geometry, mp.mpf(cfrac.numerator) / cfrac.denominator,

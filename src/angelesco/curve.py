@@ -15,6 +15,8 @@ The three regimes (support pushed off the first interval, full supports,
 pushed off the second) reduce to small Newton systems in the map parameters.
 """
 
+import cmath
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -23,6 +25,7 @@ import numpy as np
 
 from .errors import (
     ClassificationError,
+    DomainError,
     InternalInconsistency,
     RegimeError,
     ShapeError,
@@ -663,17 +666,38 @@ def dc_certificate(geometry, c, d, ctx):
 # Sheet evaluation of the inverse map and of h
 # ---------------------------------------------------------------------------
 
+def _cubic_coefficients(p, z):
+    """(c2, c1, c0) of the monic cubic whose roots are the preimages of z under R."""
+    A1, A2, B1, B2 = p
+    return (-(B1 + B2 + z), B1 * B2 + z * (B1 + B2) + A1 + A2, -z * B1 * B2 - A1 * B2 - A2 * B1)
+
+
+def _double_roots(c2, c1, c0):
+    """Roots of w^3 + c2 w^2 + c1 w + c0 in double precision, as Python complex.
+
+    Real coefficients give real roots with imaginary part exactly 0.
+    """
+    coeffs = [1.0, c2, c1, c0]
+    if not all(cmath.isfinite(v) for v in coeffs):
+        raise DomainError("cubic coefficients are not finite in double precision")
+    return [complex(r) for r in np.roots(coeffs)]
+
+
+def _separation(roots):
+    return min(abs(roots[0] - roots[1]), abs(roots[0] - roots[2]), abs(roots[1] - roots[2]))
+
+
 def _cubic_roots(curve_data, z, ctx):
     """Roots of (w - z)(w - B1)(w - B2) + A1 (w - B2) + A2 (w - B1).
 
-    Double-precision seeds polished by Newton; when two seeds nearly
-    coincide (close to a branch point) the isolated root is deflated and
-    the remaining quadratic solved in closed form.
+    The double-precision seed farthest from the other two (a real one when z
+    is real) is polished by Newton at context precision; the other two roots
+    come from the deflated quadratic in cancellation-free form. For real z the
+    polish runs in real arithmetic, so a complex pair is an exact conjugate
+    pair. mp.polyroots is the last resort when a residual misses its target.
     """
-    A1, A2, B1, B2 = curve_data.params()
-    c2 = -(B1 + B2 + z)
-    c1 = B1 * B2 + z * (B1 + B2) + A1 + A2
-    c0 = -z * B1 * B2 - A1 * B2 - A2 * B1
+    real_z = not isinstance(z, mp.mpc)
+    c2, c1, c0 = _cubic_coefficients(curve_data.params(), z)
 
     def f(w):
         return ((w + c2) * w + c1) * w + c0
@@ -683,52 +707,39 @@ def _cubic_roots(curve_data, z, ctx):
 
     scale = max(mp.mpf(1), abs(c2), abs(c1), abs(c0))
     target = mp.mpf(2) ** (24 - ctx.mantissa_bits) * scale
-    try:
-        seeds = np.roots([1.0, complex(c2), complex(c1), complex(c0)])
-        seeds = [mp.mpc(complex(s)) for s in seeds]
-    except Exception:
-        seeds = None
-    if seeds is not None and len(seeds) == 3:
-        sep = min(abs(seeds[0] - seeds[1]), abs(seeds[0] - seeds[2]), abs(seeds[1] - seeds[2]))
-        span = max(mp.mpf(1), max(abs(s) for s in seeds))
-        if sep > span * mp.mpf("1e-4"):
-            roots = []
-            ok = True
-            for s in seeds:
-                w = s
-                for _ in range(ctx.mantissa_bits // 10 + 8):
-                    d = fp(w)
-                    if d == 0:
-                        ok = False
-                        break
-                    dw = f(w) / d
-                    w -= dw
-                    if abs(dw) <= mp.mpf(2) ** (8 - ctx.mantissa_bits) * (1 + abs(w)):
-                        break
-                roots.append(w)
-            if ok and all(abs(f(w)) <= target for w in roots):
-                return roots
-        else:
-            # polish the isolated root, deflate, solve the quadratic exactly
-            dists = [min(abs(seeds[i] - seeds[j]) for j in range(3) if j != i) for i in range(3)]
-            i_iso = max(range(3), key=lambda i: dists[i])
-            w = seeds[i_iso]
-            for _ in range(ctx.mantissa_bits // 10 + 8):
-                d = fp(w)
-                if d == 0:
-                    break
-                dw = f(w) / d
-                w -= dw
-                if abs(dw) <= mp.mpf(2) ** (8 - ctx.mantissa_bits) * (1 + abs(w)):
-                    break
-            if abs(f(w)) <= target:
-                b = c2 + w
-                cq = c1 + w * b
-                disc = mp.sqrt(b * b - 4 * cq)
-                r1 = (-b + disc) / 2
-                r2 = (-b - disc) / 2
-                if all(abs(f(r)) <= target * 16 for r in (r1, r2)):
-                    return [w, r1, r2]
+    to_double = float if real_z else complex
+    seeds = _double_roots(*(to_double(c) for c in (c2, c1, c0)))
+    dist = [min(abs(s - t) for t in seeds[:i] + seeds[i + 1:]) for i, s in enumerate(seeds)]
+    candidates = [i for i in range(3) if seeds[i].imag == 0] if real_z else range(3)
+    seed = seeds[max(candidates, key=dist.__getitem__)]
+    w = mp.mpf(seed.real) if real_z else mp.mpc(seed)
+    for _ in range(ctx.mantissa_bits // 10 + 8):
+        d = fp(w)
+        if d == 0:
+            break
+        dw = f(w) / d
+        w -= dw
+        if abs(dw) <= mp.mpf(2) ** (8 - ctx.mantissa_bits) * (1 + abs(w)):
+            break
+    # deflate: w^2 + b w + cq is the cofactor of (w - root)
+    b = c2 + w
+    cq = c1 + w * b
+    disc = b * b - 4 * cq
+    if real_z and abs(disc) <= mp.mpf(2) ** (8 - ctx.mantissa_bits) * (b * b + 4 * abs(cq)):
+        # a discriminant inside its rounding error: a branch point's double root
+        pair = [-b / 2, -b / 2]
+    elif real_z and disc < 0:
+        half = mp.sqrt(-disc) / 2
+        pair = [mp.mpc(-b / 2, half), mp.mpc(-b / 2, -half)]
+    else:
+        s = mp.sqrt(disc)
+        if mp.re(mp.conj(b) * s) < 0:
+            s = -s
+        q = -(b + s) / 2
+        pair = [q, cq / q] if q != 0 else [q, q]
+    roots = [w] + pair
+    if all(abs(f(r)) <= target for r in roots):
+        return roots
     return mp.polyroots([mp.mpf(1), c2, c1, c0], maxsteps=200,
                         extraprec=ctx.mantissa_bits // 2)
 
@@ -767,13 +778,27 @@ def chi_eval(curve_data, z, ctx, side=+1):
     """Sheet-labeled values of the inverse of R at z.
 
     Returns {0: w, 1: w, 2: w}. For real z in the cuts the conjugate pair is
-    split by `side` (+1 = limit from the upper half-plane). Complex z are
-    labeled by continuation from a real anchor right of the spectrum.
+    split by `side` (+1 = limit from the upper half-plane); at a branch point
+    the merged pair is returned under both labels. Complex z with Im z > 0 are
+    labeled by continuation from a real anchor right of the spectrum, in
+    double precision while the roots stay farther apart than doubles resolve
+    and at context precision from the first step where they do not; the
+    roots at z are then polished once and matched to those labels. Im z < 0
+    gives the conjugates of the values at conj(z).
+
+    Domain: every z whose cubic has finite coefficients in double precision
+    (DomainError otherwise). ClassificationError is raised when real roots
+    off the cuts do not fit the sheet windows, and when a continuation step
+    or the final match moves a root by more than 0.4 of the labels'
+    separation even at step 2^-60 of a path segment; directly above a branch
+    point that happens for Im z below about 1e-19, at any bits.
     """
     with ctx.workprec():
         z = mp.mpc(z)
-        real_z = z.imag == 0
-        if real_z:
+        if z.imag < 0:
+            labels = chi_eval(curve_data, mp.conj(z), ctx)
+            return {k: mp.conj(w) for k, w in labels.items()}
+        if z.imag == 0:
             roots = _cubic_roots(curve_data, z.real, ctx)
             cut = _on_cut(curve_data, z.real, ctx)
             chop = mp.sqrt(ctx.solve_tolerance) * max(1, *(abs(r) for r in roots))
@@ -808,16 +833,27 @@ def chi_eval(curve_data, z, ctx, side=+1):
         g = curve_data.geometry
         span = g.beta2 - g.alpha1
         anchor = g.beta2 + 1 + span
-        height = z.imag if abs(z.imag) > span / 2 else mp.sign(z.imag) * span / 2
+        height = max(z.imag, span / 2)
         waypoints = [mp.mpc(anchor), mp.mpc(anchor, height), mp.mpc(z.real, height), z]
-        labels = chi_eval(curve_data, anchor, ctx)
+        p = tuple(float(v) for v in curve_data.params())
+        anchor_roots = _double_roots(*_cubic_coefficients(p, float(anchor)))
+        labels = _classify_real(curve_data, anchor_roots, ctx)
         current = [labels[0], labels[1], labels[2]]
+        exact = False
         for a, b in zip(waypoints, waypoints[1:]):
             t, t_step = mp.mpf(0), mp.mpf(1)
             while t < 1:
                 t_try = min(mp.mpf(1), t + t_step)
                 zt = a + (b - a) * t_try
-                roots = _cubic_roots(curve_data, zt, ctx)
+                if exact:
+                    roots = _cubic_roots(curve_data, zt, ctx)
+                else:
+                    roots = _double_roots(*_cubic_coefficients(p, complex(zt)))
+                    # doubles place a root to about eps (S / sep)^2 of sep:
+                    # 2^-20 of sep at sep = 2^-16 S
+                    if _separation(roots) < 2.0 ** -16 * max(1.0, *(abs(r) for r in roots)):
+                        exact = True
+                        continue
                 match = _match_roots(current, roots)
                 if match is None:
                     t_step /= 2
@@ -829,19 +865,22 @@ def chi_eval(curve_data, z, ctx, side=+1):
                 t_step = min(t_step * 2, mp.mpf(1) - t if t < 1 else mp.mpf(1))
                 if t_step == 0:
                     break
+        if not exact:
+            current = _match_roots(current, _cubic_roots(curve_data, z, ctx))
+            if current is None:
+                raise ClassificationError("polished roots do not match the continued labels")
         return {0: current[0], 1: current[1], 2: current[2]}
 
 
 def _match_roots(prev, roots):
-    import itertools
-
+    """roots reordered to follow prev, or None if a root moved 0.4 of prev's separation."""
     best, best_cost = None, None
     for perm in itertools.permutations(range(3)):
         cost = max(abs(roots[perm[k]] - prev[k]) for k in range(3))
         if best_cost is None or cost < best_cost:
             best_cost, best = cost, perm
-    sep = min(abs(prev[i] - prev[j]) for i in range(3) for j in range(i + 1, 3))
-    if sep > 0 and best_cost > sep * mp.mpf("0.4"):
+    sep = _separation(prev)
+    if sep > 0 and best_cost > 0.4 * sep:
         return None
     return [roots[best[k]] for k in range(3)]
 
@@ -1102,10 +1141,18 @@ def energy_oracle(geometry, c, n_particles=400, iterations=2000, seed=0):
 # ---------------------------------------------------------------------------
 
 def curve_to_json(curve_data, thresholds=None, digits=30):
+    """JSON text of the constants at `digits` significant digits.
+
+    The solve residual is written to 3 digits, and never below the resolution
+    of the written constants, 10^-digits of the geometry's scale: below it the
+    residual is rounding noise that differs between two solves of the same
+    curve, so the bytes change only when a constant or the certificate does.
+    """
     cd = curve_data
     g = cd.geometry
+    resolution = mp.mpf(10) ** -digits * max(1, *(abs(v) for v in g.as_tuple()))
 
-    def s(v):
+    def s(v, digits=digits):
         return mp.nstr(v, digits) if v is not None else None
 
     doc = {
@@ -1121,6 +1168,6 @@ def curve_to_json(curve_data, thresholds=None, digits=30):
         "B1": s(cd.B1),
         "B2": s(cd.B2),
         "z_c": s(cd.z_c),
-        "residual": s(cd.solve_residual),
+        "residual": s(max(cd.solve_residual, resolution), 3),
     }
     return json.dumps(doc, sort_keys=True, indent=2)

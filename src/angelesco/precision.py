@@ -325,10 +325,14 @@ def sym_eig(S, want_vectors=False, sym_tol=1e-12):
 # ---------------------------------------------------------------------------
 
 def find_root(f, lo, hi, ctx, tol=None):
-    """Bracketed bisection/secant hybrid.
+    """Bracketed bisection/regula falsi hybrid with the Illinois update.
 
-    Requires f(lo) * f(hi) < 0. Stops when |f| <= tol or the bracket width
-    falls below tol (default: context solve_tolerance scaled by the bracket).
+    Requires f(lo) * f(hi) < 0. Every other step bisects, so the bracket
+    provably halves; the steps between are regula falsi, and an end that two
+    of them keep in a row has its stored value halved (Illinois), which sends
+    the next one past the root so that both ends close in superlinearly.
+    Stops when |f| <= tol or the bracket width falls below tol (default:
+    context solve_tolerance scaled by the bracket).
     """
     with ctx.workprec():
         a, b = mp.mpf(lo), mp.mpf(hi)
@@ -343,26 +347,31 @@ def find_root(f, lo, hi, ctx, tol=None):
             return b
         if mp.sign(fa) == mp.sign(fb):
             raise BracketError("no sign change on bracket")
+        kept, streak = 0, 0  # the end the regula falsi steps kept, and how often in a row
         for it in range(2 * ctx.mantissa_bits + 128):
             if abs(b - a) <= tol:
                 break
-            xm = (a + b) / 2
-            # secant candidate; every other step bisect so the bracket
-            # provably halves (plain regula falsi can crawl on stiff f)
-            if it % 2 == 0 and fb != fa:
-                xs = b - fb * (b - a) / (fb - fa)
-                x = xs if (a < xs < b) else xm
-                if min(abs(x - a), abs(x - b)) < abs(b - a) * mp.mpf("1e-3"):
-                    x = xm
+            secant = it % 2 == 0
+            if secant:
+                # Illinois: halve the value at an end kept twice in a row
+                ga = fa / 2 if kept == -1 and streak >= 2 else fa
+                gb = fb / 2 if kept == 1 and streak >= 2 else fb
+                x = b - gb * (b - a) / (gb - ga)
             else:
-                x = xm
+                x = (a + b) / 2
+            if not a < x < b:
+                x = (a + b) / 2
             fx = mp.mpf(f(x))
             if fx == 0 or abs(fx) <= tol and abs(b - a) <= mp.sqrt(tol):
                 return x
-            if mp.sign(fx) == mp.sign(fa):
+            side = 1 if mp.sign(fx) == mp.sign(fa) else -1
+            if side == 1:
                 a, fa = x, fx
             else:
                 b, fb = x, fx
+            if secant:
+                streak = streak + 1 if side == kept else 1
+                kept = side
         return (a + b) / 2
 
 

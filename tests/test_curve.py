@@ -21,8 +21,18 @@ from angelesco.curve import (
     h_branch,
     upsilon,
 )
-from angelesco.curve import _critical_points, _newton, _Rp, _Rpp
-from angelesco.errors import RegimeError, SolveFailure
+from angelesco.curve import (
+    _classify_real,
+    _critical_points,
+    _match_roots,
+    _mirror_curve,
+    _newton,
+    _on_cut,
+    _R,
+    _Rp,
+    _Rpp,
+)
+from angelesco.errors import ClassificationError, RegimeError, SolveFailure
 from angelesco.mops import Geometry, reference_geometry
 from angelesco.precision import PrecisionContext
 
@@ -354,6 +364,154 @@ def test_curve_json_export(cd_half, thresholds):
     assert set(doc) == {"c", "geometry", "regime", "c_star", "c_dstar", "beta_c1",
                         "alpha_c2", "A1", "A2", "B1", "B2", "z_c", "residual"}
     assert isinstance(doc["A1"], str)
+
+
+def test_curve_json_identical_across_solves():
+    # the direct solve and the solve on the mirrored geometry are two solves
+    # of one curve: equal constants, residuals that differ in rounding noise
+    for bits in (192, 256):
+        ctx = PrecisionContext(bits)
+        for geo in (("-2.3", "-1", "1", "1.9"), ("-2.25", "-1", "1", "1.85")):
+            g = Geometry(*geo)
+            th = critical_thresholds(g, ctx)
+            cd = curve(g, "0.4", ctx)
+            with ctx.workprec():
+                mirrored = _mirror_curve(curve(g.mirrored(), 1 - cd.c, ctx), g)
+            assert curve_to_json(cd, th) == curve_to_json(mirrored, th)
+
+
+# ---------------------------------------------------------------------------
+# Oracle for chi_eval: a context-precision continuation on mp.polyroots
+# ---------------------------------------------------------------------------
+
+def _oracle_roots(cd, z, bits):
+    """The three preimages of z under R, by mp.polyroots at twice the bits."""
+    A1, A2, B1, B2 = cd.params()
+    with mp.workprec(2 * bits):
+        coeffs = [1, -(B1 + B2 + z), B1 * B2 + z * (B1 + B2) + A1 + A2,
+                  -z * B1 * B2 - A1 * B2 - A2 * B1]
+        return mp.polyroots(coeffs, maxsteps=200, extraprec=bits)
+
+
+def _oracle_chi(cd, z, ctx, side=+1):
+    """Sheet labels by chi_eval's former all-context-precision route.
+
+    The roots come from _oracle_roots, apart from the program's root solver.
+
+    Real z: the critical-point windows off the cuts; on a cut the pair is
+    split by `side`. Complex z (either half-plane, no conjugation): every
+    step of the continuation from the real anchor solves the cubic afresh and
+    accepts the step when no root moved more than 0.4 of the separation.
+    """
+    with ctx.workprec():
+        z = mp.mpc(z)
+        if z.imag == 0:
+            roots = _oracle_roots(cd, z.real, ctx.mantissa_bits)
+            cut = _on_cut(cd, z.real, ctx)
+            if cut == 0:
+                return _classify_real(cd, roots, ctx)
+            lower, real, upper = sorted(roots, key=lambda r: r.imag)
+            return {0: upper if side >= 0 else lower, cut: lower if side >= 0 else upper,
+                    3 - cut: real.real}
+        g = cd.geometry
+        span = g.beta2 - g.alpha1
+        anchor = g.beta2 + 1 + span
+        height = z.imag if abs(z.imag) > span / 2 else mp.sign(z.imag) * span / 2
+        waypoints = [mp.mpc(anchor), mp.mpc(anchor, height), mp.mpc(z.real, height), z]
+        labels = _oracle_chi(cd, anchor, ctx)
+        current = [labels[0], labels[1], labels[2]]
+        for a, b in zip(waypoints, waypoints[1:]):
+            t, t_step = mp.mpf(0), mp.mpf(1)
+            while t < 1:
+                t_try = min(mp.mpf(1), t + t_step)
+                match = _match_roots(current, _oracle_roots(cd, a + (b - a) * t_try,
+                                                            ctx.mantissa_bits))
+                if match is None:
+                    t_step /= 2
+                    if t_step < mp.mpf(2) ** (-60):
+                        raise ClassificationError("oracle continuation stalled")
+                    continue
+                current, t = match, t_try
+                t_step = min(t_step * 2, 1 - t) if t < 1 else t_step
+        return {0: current[0], 1: current[1], 2: current[2]}
+
+
+_REGIME_FRACTION = {
+    PUSHED_LEFT: lambda th, u: u * th.c_star,
+    MIDDLE: lambda th, u: th.c_star + u * (th.c_dstar - th.c_star),
+    PUSHED_RIGHT: lambda th, u: th.c_dstar + u * (1 - th.c_dstar),
+}
+
+
+def _assert_labels_agree(ch, ref, bits):
+    for k in (0, 1, 2):
+        assert abs(ch[k] - ref[k]) <= mp.mpf(2) ** (16 - bits) * (1 + abs(ref[k]))
+
+
+@settings(max_examples=24, deadline=None)
+@given(bits=st.sampled_from([128, 192, 256]),
+       l1=st.integers(60, 160), l2=st.integers(60, 160),
+       regime=st.sampled_from([PUSHED_LEFT, MIDDLE, PUSHED_RIGHT]),
+       u=st.floats(0.15, 0.85),
+       re=st.floats(-4, 4), log_im=st.floats(-3, 0.477), lower=st.booleans(),
+       where=st.sampled_from(["cut1", "cut2", "gap", "left", "right"]),
+       v=st.floats(0.02, 0.98))
+def test_chi_eval_matches_oracle(bits, l1, l2, regime, u, re, log_im, lower, where, v):
+    ctx = PrecisionContext(bits)
+    with ctx.workprec():
+        g = Geometry(-1 - mp.mpf(l1) / 100, -1, 1, 1 + mp.mpf(l2) / 100)
+    th = critical_thresholds(g, ctx)
+    with ctx.workprec():
+        cd = curve(g, _REGIME_FRACTION[regime](th, mp.mpf(u)), ctx, with_dc=False)
+        z = mp.mpc(re, (-1 if lower else 1) * mp.mpf(10) ** log_im)
+        ch = chi_eval(cd, z, ctx)
+        _assert_labels_agree(ch, _oracle_chi(cd, z, ctx), bits)
+        for k in (0, 1, 2):
+            assert abs(_R(ch[k], cd.params()) - z) <= mp.mpf(2) ** (24 - bits) * (1 + abs(z))
+        assert ch[0].imag * z.imag > 0
+        chc = chi_eval(cd, mp.conj(z), ctx)
+        assert all(chc[k] == mp.conj(ch[k]) for k in (0, 1, 2))
+        # a real point inside a cut, in the gap, or outside the supports
+        (a1, b1), (a2, b2) = cd.supports()
+        x = {"cut1": a1 + v * (b1 - a1), "cut2": a2 + v * (b2 - a2),
+             "gap": b1 + v * (a2 - b1), "left": a1 - 3 * v, "right": b2 + 3 * v}[where]
+        chx = chi_eval(cd, x, ctx)
+        _assert_labels_agree(chx, _oracle_chi(cd, x, ctx), bits)
+        for k in (0, 1, 2):
+            assert abs(_R(chx[k], cd.params()) - x) <= mp.mpf(2) ** (24 - bits) * (1 + abs(x))
+        if where.startswith("cut"):
+            assert chx[0].imag > 0
+
+
+def test_chi_eval_domain_near_branch_point():
+    # doubles cannot resolve the pair here (separation ~ 1e-8), so the
+    # continuation finishes at context precision
+    ctx = PrecisionContext(128)
+    cd = curve(G0, "0.05", ctx, with_dc=False)
+    with ctx.workprec():
+        beta = cd.beta_c1
+        for z in (mp.mpc(beta, "1e-16"), mp.mpc(beta + mp.mpf("1e-25"), "1e-16")):
+            ch, ref = chi_eval(cd, z, ctx), _oracle_chi(cd, z, ctx)
+            sep = min(abs(ref[i] - ref[j]) for i in range(3) for j in range(i))
+            for k in (0, 1, 2):
+                # same labels: each value is the oracle's for its sheet, far
+                # inside the pair's separation (root error ~ eps / sep)
+                assert abs(ch[k] - ref[k]) <= mp.mpf(2) ** (16 - 128) / sep
+        with pytest.raises(ClassificationError):
+            chi_eval(cd, mp.mpc(beta, "1e-24"), ctx)
+
+
+def test_chi_eval_at_branch_points_square_root_limited():
+    ctx = PrecisionContext(192)
+    for c in ("0.05", "0.5"):
+        cd = curve(G0, c, ctx, with_dc=False)
+        for x in (cd.beta_c1, cd.alpha_c2):
+            ch = chi_eval(cd, x, ctx)
+            with ctx.workprec():
+                ref = _oracle_roots(cd, x, 2 * ctx.mantissa_bits)
+                for k in (0, 1, 2):
+                    err = min(abs(ch[k] - r) for r in ref)
+                    assert err <= mp.mpf(2) ** (2 - ctx.mantissa_bits // 2) * (1 + abs(ch[k]))
 
 
 def test_sheet_classification_random_sweep():

@@ -145,6 +145,32 @@ def test_find_root_basics():
         find_root(lambda x: x * x + 1, -1, 1, CTX)
 
 
+def test_find_root_superlinear_with_bisection_guard():
+    ctx = PrecisionContext(192)
+    with ctx.workprec():
+        plastic = mp.cbrt((9 + mp.sqrt(69)) / 18) + mp.cbrt((9 - mp.sqrt(69)) / 18)
+        simple = [
+            (lambda x: x * x - 2, 1, 2, mp.sqrt(2)),
+            (mp.cos, 1, 2, mp.pi / 2),
+            (lambda x: mp.exp(x) - 3, 0, 5, mp.log(3)),
+            (lambda x: x ** 3 - x - 1, 1, 2, plastic),
+            (lambda x: mp.atan(1000 * (x - mp.mpf("0.3"))), -1, 2, mp.mpf("0.3")),
+        ]
+    for f, lo, hi, root in simple:
+        calls = []
+        r = find_root(lambda x: calls.append(x) or f(x), lo, hi, ctx)
+        with ctx.workprec():
+            assert abs(r - root) <= ctx.solve_tolerance * max(1, abs(lo), abs(hi))
+        assert len(calls) <= 30
+    # a fivefold root gives regula falsi nothing: the bisections still halve
+    # the bracket every other step
+    calls = []
+    r = find_root(lambda x: calls.append(x) or x ** 5, -1, 3, ctx)
+    with ctx.workprec():
+        assert abs(r) ** 5 <= ctx.solve_tolerance * 3
+        assert len(calls) <= 2 * (mp.log(4 / (ctx.solve_tolerance * 3), 2) + 2)
+
+
 def test_poly_divmod_roundtrip():
     with CTX.workprec():
         a = Poly([1, 2, 3, 4])
