@@ -19,6 +19,7 @@ from angelesco import (
     equilibrium,
     reference_geometry,
 )
+from angelesco.errors import RegimeError
 
 ctx = PrecisionContext(512)
 g = reference_geometry()
@@ -32,7 +33,7 @@ for c in ("0.02", "0.05", "0.2", "0.5"):
     try:
         _, beta_dc = dc_oracle(g, c, ctx)
         dc_str = mp.nstr(beta_dc, 10)
-    except Exception:
+    except RegimeError:
         dc_str = "(full support)"
     res = energy_oracle(g, float(mp.mpf(c)), n_particles=300, iterations=1500)
     print(f"{c:>6} {mp.nstr(cd.beta_c1, 10):>14} {dc_str:>14} "

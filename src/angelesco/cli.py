@@ -210,11 +210,17 @@ def _suite_equilibrium(args, ctx, geometry, weights):
     with ctx.workprec():
         err1 = abs(eq.masses[0] - cd.c)
         err2 = abs(eq.masses[1] - (1 - cd.c))
-        ok = err1 < mp.mpf("1e-8") and err2 < mp.mpf("1e-8")
+        # 2V1 + V2 and V1 + 2V2 are constant on the supports of mu_1 and mu_2
+        spreads = []
+        for (a, b), coeffs in zip(cd.supports(), ((2, 1), (1, 2))):
+            vals = [eq.potential(a + (b - a) * q, *coeffs) for q in (0.1, 0.3, 0.5, 0.7, 0.9)]
+            spreads.append(max(vals) - min(vals))
+        ok = all(e < mp.mpf("1e-8") for e in (err1, err2, *spreads))
         doc = {
             "c": mp.nstr(cd.c, 15),
             "masses": [mp.nstr(v, 20) for v in eq.masses],
             "mass_errors": [mp.nstr(err1, 5), mp.nstr(err2, 5)],
+            "flatness_spreads": [mp.nstr(v, 5) for v in spreads],
             "ell1": mp.nstr(eq.ell1, 15),
             "ell2": mp.nstr(eq.ell2, 15),
             "threshold": "1e-8",

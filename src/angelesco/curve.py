@@ -906,6 +906,9 @@ def h_eval_w(curve_data, w):
             val *= (w - wn)
     for wd, k in den:
         if k:
+            # z one ulp or more off a branch point puts w about sqrt(eps) from it
+            if abs(w - wd) <= mp.ldexp(max(1, abs(wd)), 16 - mp.mp.prec):
+                raise DomainError("h is infinite at a hard edge")
             val /= (w - wd)
     return val
 
@@ -934,17 +937,37 @@ def upsilon(curve_data, i, z, sheet, ctx, side=+1):
 # Equilibrium measures
 # ---------------------------------------------------------------------------
 
-def equilibrium(curve_data, ctx, n_quad=96, work_bits=160):
+EQ_QUAD_NODES = 96  # Gauss nodes per half-support for the masses
+EQ_WORK_BITS = 160  # precision cap for the densities and masses
+
+
+def equilibrium(curve_data, ctx):
     """Densities, masses, variational constants from the boundary values of h.
 
     Densities are Im h^(i) on the upper side of each cut divided by pi.
-    Masses use Gauss quadrature after the substitution x = endpoint +- t^2
-    which absorbs inverse-square-root edges; potentials integrate the log
-    kernel adaptively with a split at the singularity.
+    Masses use Gauss quadrature after the substitution x = endpoint +- t^2,
+    which absorbs inverse-square-root edges, at min(bits, EQ_WORK_BITS); they
+    certify the residues (r1, r2) = (c, 1 - c) of h R' below.
+
+    Potentials are in closed form. With z = R(w), h dz = h R' dw and
+    h(w) R'(w) = (w - w*) / ((w - B1)(w - B2)) = r1/(w - B1) + r2/(w - B2),
+    where r1 = (B1 - w*)/(B1 - B2), r2 = 1 - r1. Since h^(i) = -C_{mu_i},
+    integrating and fixing V^{mu_i}(x) + r_i log|x| -> 0 at infinity gives
+
+        V^{mu_i}(x) = r1 log|chi^(i)(x) - B1| + r2 log|chi^(i)(x) - B2|
+                      - r_i log A_i - r_j log|B_i - B_j|     (j != i),
+
+    single-valued because only moduli enter, and valid on the cuts, where the
+    two boundary values are conjugate. One potential costs one chi_eval at
+    context precision; a collapsed support (zero mass) is skipped.
+
+    Raises InternalInconsistency when a mass misses (c, 1 - c) by more than
+    1e-6 or a density is negative beyond 1e-12; the densities raise
+    DomainError at a hard edge, where they are infinite.
     """
     from .precision import PrecisionContext, gauss_legendre
 
-    wctx = PrecisionContext(min(ctx.mantissa_bits, work_bits))
+    wctx = PrecisionContext(min(ctx.mantissa_bits, EQ_WORK_BITS))
     cd = curve_data
     supports = cd.supports()
 
@@ -966,7 +989,7 @@ def equilibrium(curve_data, ctx, n_quad=96, work_bits=160):
         with wctx.workprec():
             if b - a <= ctx.solve_tolerance:
                 return mp.mpf(0)
-            nodes, weights = gauss_legendre(n_quad, wctx)
+            nodes, weights = gauss_legendre(EQ_QUAD_NODES, wctx)
             total = mp.mpf(0)
             for edge, sgn in ((a, 1), (b, -1)):
                 tmax = mp.sqrt((b - a) / 2)
@@ -984,25 +1007,28 @@ def equilibrium(curve_data, ctx, n_quad=96, work_bits=160):
                 raise InternalInconsistency(
                     f"equilibrium mass {mp.nstr(got, 10)} far from {mp.nstr(want, 10)}")
 
-    def potential(z, coeff1=1, coeff2=1):
-        """V^{coeff1 w_1 + coeff2 w_2}(z) = -sum coeff_i int log|z-t| d w_i.
+    with ctx.workprec():
+        B = (cd.B1, cd.B2)
+        r1 = (cd.B1 - cd.w_star) / (cd.B1 - cd.B2)
+        r = (r1, 1 - r1)
+        log_gap = mp.log(abs(cd.B1 - cd.B2))
+        # the constant of V^{mu_i} on each sheet whose support has not collapsed
+        offsets = {i + 1: r[i] * mp.log(A) + r[1 - i] * log_gap
+                   for i, ((a, b), A) in enumerate(zip(supports, (cd.A1, cd.A2)))
+                   if b - a > ctx.solve_tolerance}
 
-        Adaptive tanh-sinh with a split at the on-support log singularity;
-        the quadrature itself runs at reduced precision (the densities carry
-        far more digits than the 1e-12 the constants need).
-        """
-        with mp.workprec(min(wctx.mantissa_bits, 110)):
-            z = mp.mpf(z)
+    def potential(z, coeff1=1, coeff2=1):
+        """V^{coeff1 mu_1 + coeff2 mu_2}(z) = -sum coeff_i int log|z-t| d mu_i, z real."""
+        with ctx.workprec():
+            chi = chi_eval(cd, mp.mpf(z), ctx)
             total = mp.mpf(0)
-            for (a, b), f, coeff in ((supports[0], d1, coeff1), (supports[1], d2, coeff2)):
-                if coeff == 0 or b - a <= ctx.solve_tolerance:
-                    continue
-                pts = [a, z, b] if a < z < b else [a, b]
-                val = mp.quad(lambda t: -mp.log(abs(z - t)) * f(t), pts, maxdegree=7)
-                total += coeff * val
+            for sheet, coeff in ((1, coeff1), (2, coeff2)):
+                if coeff and sheet in offsets:
+                    v = sum(rk * mp.log(abs(chi[sheet] - Bk)) for rk, Bk in zip(r, B) if rk)
+                    total += coeff * (v - offsets[sheet])
             return total
 
-    with wctx.workprec():
+    with ctx.workprec():
         x1 = (supports[0][0] + supports[0][1]) / 2
         x2 = (supports[1][0] + supports[1][1]) / 2
         ell1 = potential(x1, 2, 1)

