@@ -886,7 +886,12 @@ def _match_roots(prev, roots):
 
 
 def h_eval_w(curve_data, w):
-    """h as a function on the w-plane, with exact cancellation of the pinned zero."""
+    """h as a function on the w-plane, with exact cancellation of the pinned zero.
+
+    Raises DomainError when w is within 2^(16-prec) max(1, |w_j|) of a
+    critical point w_j left in the denominator: h has a pole there, and the
+    density is infinite at the hard edge over it.
+    """
     A1, A2, B1, B2 = curve_data.params()
     num = [(B1, 1), (B2, 1), (curve_data.w_star, 1)]
     den = [(wj, 1) for wj in curve_data.w_crit]
@@ -908,7 +913,7 @@ def h_eval_w(curve_data, w):
         if k:
             # z one ulp or more off a branch point puts w about sqrt(eps) from it
             if abs(w - wd) <= mp.ldexp(max(1, abs(wd)), 16 - mp.mp.prec):
-                raise DomainError("h is infinite at a hard edge")
+                raise DomainError("w is a critical point of R, a pole of h (a hard edge)")
             val /= (w - wd)
     return val
 
@@ -1024,7 +1029,7 @@ def equilibrium(curve_data, ctx):
             total = mp.mpf(0)
             for sheet, coeff in ((1, coeff1), (2, coeff2)):
                 if coeff and sheet in offsets:
-                    v = sum(rk * mp.log(abs(chi[sheet] - Bk)) for rk, Bk in zip(r, B) if rk)
+                    v = sum(rk * mp.log(abs(chi[sheet] - Bk)) for rk, Bk in zip(r, B))
                     total += coeff * (v - offsets[sheet])
             return total
 
