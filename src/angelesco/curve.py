@@ -32,7 +32,7 @@ from .errors import (
     SingularSystem,
     SolveFailure,
 )
-from .precision import find_root
+from .precision import PrecisionContext, find_root, gauss_legendre
 from .szego_maps import phi_map, w_map
 
 PUSHED_LEFT = "pushed_left"
@@ -888,33 +888,25 @@ def _match_roots(prev, roots):
 def h_eval_w(curve_data, w):
     """h as a function on the w-plane, with exact cancellation of the pinned zero.
 
-    Raises DomainError when w is within 2^(16-prec) max(1, |w_j|) of a
-    critical point w_j left in the denominator: h has a pole there, and the
-    density is infinite at the hard edge over it.
+    DomainError when w is within 2^(16-prec) max(1, |w_j|) of a critical point
+    w_j left in the denominator: a pole of h, over a hard edge.
     """
-    A1, A2, B1, B2 = curve_data.params()
-    num = [(B1, 1), (B2, 1), (curve_data.w_star, 1)]
-    den = [(wj, 1) for wj in curve_data.w_crit]
+    num = [curve_data.B1, curve_data.B2, curve_data.w_star]
+    den = list(curve_data.w_crit)
     # cancel the divisor zero that sits at a ramification point
-    for i, (wn, _) in enumerate(num):
-        for j, (wd, _) in enumerate(den):
-            if wd == wn:
-                num[i] = (wn, 0)
-                den[j] = (wd, 0)
-                break
-        else:
-            continue
-        break
+    for wn in num:
+        if wn in den:
+            num.remove(wn)
+            den.remove(wn)
+            break
     val = mp.mpc(1)
-    for wn, k in num:
-        if k:
-            val *= (w - wn)
-    for wd, k in den:
-        if k:
-            # z one ulp or more off a branch point puts w about sqrt(eps) from it
-            if abs(w - wd) <= mp.ldexp(max(1, abs(wd)), 16 - mp.mp.prec):
-                raise DomainError("w is a critical point of R, a pole of h (a hard edge)")
-            val /= (w - wd)
+    for wn in num:
+        val *= w - wn
+    for wd in den:
+        # z one ulp or more off a branch point puts w about sqrt(eps) from it
+        if abs(w - wd) <= mp.ldexp(max(1, abs(wd)), 16 - mp.mp.prec):
+            raise DomainError("w is a critical point of R, a pole of h (a hard edge)")
+        val /= w - wd
     return val
 
 
@@ -949,29 +941,20 @@ EQ_WORK_BITS = 160  # precision cap for the densities and masses
 def equilibrium(curve_data, ctx):
     """Densities, masses, variational constants from the boundary values of h.
 
-    Densities are Im h^(i) on the upper side of each cut divided by pi.
-    Masses use Gauss quadrature after the substitution x = endpoint +- t^2,
-    which absorbs inverse-square-root edges, at min(bits, EQ_WORK_BITS); they
-    certify the residues (r1, r2) = (c, 1 - c) of h R' below.
+    Densities are Im h^(i) on the upper side of each cut divided by pi. Their
+    masses are Gauss sums after x = endpoint +- t^2, which absorbs the
+    inverse-square-root edges, at min(bits, EQ_WORK_BITS); they certify the
+    residues r1 = (B1 - w*)/(B1 - B2) = c and r2 = 1 - r1 of
+    h R' = r1/(w - B1) + r2/(w - B2). Integrating h^(i) = -C_{mu_i} through
+    z = R(w), with V^{mu_i}(x) + r_i log|x| -> 0 at infinity, gives each
+    potential in closed form, single-valued, by one chi_eval at context bits:
 
-    Potentials are in closed form. With z = R(w), h dz = h R' dw and
-    h(w) R'(w) = (w - w*) / ((w - B1)(w - B2)) = r1/(w - B1) + r2/(w - B2),
-    where r1 = (B1 - w*)/(B1 - B2), r2 = 1 - r1. Since h^(i) = -C_{mu_i},
-    integrating and fixing V^{mu_i}(x) + r_i log|x| -> 0 at infinity gives
+        V^{mu_i}(x) = sum_k r_k log|chi^(i)(x) - B_k| - r_i log A_i - r_j log|B1 - B2|.
 
-        V^{mu_i}(x) = r1 log|chi^(i)(x) - B1| + r2 log|chi^(i)(x) - B2|
-                      - r_i log A_i - r_j log|B_i - B_j|     (j != i),
-
-    single-valued because only moduli enter, and valid on the cuts, where the
-    two boundary values are conjugate. One potential costs one chi_eval at
-    context precision; a collapsed support (zero mass) is skipped.
-
-    Raises InternalInconsistency when a mass misses (c, 1 - c) by more than
-    1e-6 or a density is negative beyond 1e-12; the densities raise
-    DomainError at a hard edge, where they are infinite.
+    A collapsed support (zero mass) is skipped. Raises InternalInconsistency
+    for a mass off (c, 1 - c) by 1e-6 or a density below -1e-12; the
+    densities raise DomainError at a hard edge, where they are infinite.
     """
-    from .precision import PrecisionContext, gauss_legendre
-
     wctx = PrecisionContext(min(ctx.mantissa_bits, EQ_WORK_BITS))
     cd = curve_data
     supports = cd.supports()

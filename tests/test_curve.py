@@ -615,11 +615,10 @@ def test_equilibrium_variational_conditions(bits, l1, l2, regime, u):
             for q in ("0.05", "0.3", "0.5", "0.7", "0.95"):
                 assert abs(eq.potential(a + (b - a) * mp.mpf(q), *coeffs) - ell) <= tol
             # on the part of the interval the support left, strictly above ell
-            detached = (b, hi) if hi - b > ctx.solve_tolerance else (
-                (lo, a) if a - lo > ctx.solve_tolerance else None)
-            if detached is not None:
-                for x in ((detached[0] + detached[1]) / 2, detached[1] if b < hi else lo):
-                    assert eq.potential(x, *coeffs) - ell > tol
+            for near, far in ((b, hi), (a, lo)):
+                if abs(far - near) > ctx.solve_tolerance:
+                    for x in ((near + far) / 2, far):
+                        assert eq.potential(x, *coeffs) - ell > tol
         # V^{mu_i}(x) + m_i log|x| -> 0 like O(1/x)
         X = mp.mpf(2) ** 40
         bound = 10 * max(abs(g.alpha1), abs(g.beta2)) / X
