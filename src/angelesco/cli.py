@@ -1,10 +1,10 @@
 """Command-line front end: constants, recurrence tables, verification suites.
 
 All numeric output renders decimals as strings at fixed digits so identical
-configurations produce byte-identical files. Recurrence tables are cached
-under ANGELESCO_CACHE_DIR (unset disables caching), keyed by geometry,
-weights, precision, and table size; cache hits are spot-checked against a
-fresh solve at one index.
+configurations produce byte-identical files. Recurrence tables and their
+errors CSV are cached under ANGELESCO_CACHE_DIR (unset disables caching),
+keyed by geometry, weights, precision, and table size; cache hits are
+spot-checked against a fresh solve at one index.
 """
 
 import argparse
@@ -23,7 +23,8 @@ from .errors import AngelescoError
 from .mops import AngelescoSystem, Geometry, NnrrTable, WeightSpec
 from .precision import PrecisionContext
 from .szego import ratio_report, ratio_report_csv
-from .tree import SyntheticSource, assemble_J, assemble_L, build_tree, m_closed, m_recursion, spectrum_probe
+from .tree import (SyntheticSource, assemble_J, assemble_L, build_tree, m_closed_pair, m_recursion,
+                   spectrum_probe)
 
 DIGITS = 30
 
@@ -77,13 +78,43 @@ def _table_cache_key(geometry, weights, bits, n_max):
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
 
+ERRORS_HEADER = "n1,n2,err_a1,err_a2,err_b1,err_b2"
+
+
+def _nnrr_errors_csv(geometry, table, ctx):
+    """Per-index errors of a table against the ray-limit constants at c = n1/|n|."""
+    errors = [ERRORS_HEADER]
+    const_cache = {}
+    with ctx.workprec():
+        for (n1, n2) in sorted(table.entries):
+            if n1 + n2 == 0:
+                continue
+            cfrac = Fraction(n1, n1 + n2)
+            if cfrac not in const_cache:
+                cd = curve(geometry, mp.mpf(cfrac.numerator) / cfrac.denominator,
+                           ctx, with_dc=False)
+                const_cache[cfrac] = (cd.A1, cd.A2, cd.B1, cd.B2)
+            A1, A2, B1, B2 = const_cache[cfrac]
+            a1, a2, b1, b2 = table.get((n1, n2))
+            errs = [abs(a1 - A1), abs(a2 - A2), abs(b1 - B1), abs(b2 - B2)]
+            errors.append(f"{n1},{n2}," + ",".join(mp.nstr(e, 12) for e in errs))
+    return "\n".join(errors) + "\n"
+
+
 def _nnrr_table_cached(system, n_max):
+    """(table, errors CSV, cache hit) for one configuration.
+
+    A cache entry is the table CSV followed by its errors CSV. An entry
+    without the errors (written by an older version) gets them recomputed
+    and appended.
+    """
     cache = _cache_dir()
     key = _table_cache_key(system.geometry, system.weights, system.ctx.mantissa_bits, n_max)
     path = os.path.join(cache, f"nnrr_{key}.csv") if cache else None
     if path and os.path.exists(path):
         with open(path) as f:
-            table = NnrrTable.from_csv(f.read())
+            table_text, header, rows = f.read().partition(ERRORS_HEADER)
+        table = NnrrTable.from_csv(table_text)
         # spot-check one index against a fresh solve
         with system.ctx.workprec():
             fresh = system.nnrr((1, 1))
@@ -91,11 +122,16 @@ def _nnrr_table_cached(system, n_max):
             ok = all(abs(a - b) <= mp.mpf(10) ** (-(DIGITS - 5)) * (1 + abs(a))
                      for a, b in zip(fresh, cached))
         if ok:
-            return table, True
+            if header:
+                return table, header + rows, True
+            errors = _nnrr_errors_csv(system.geometry, table, system.ctx)
+            _write_out(path, table_text + errors)
+            return table, errors, True
     table = system.table(n_max)
+    errors = _nnrr_errors_csv(system.geometry, table, system.ctx)
     if path:
-        _write_out(path, table.to_csv(digits=DIGITS + 10))
-    return table, False
+        _write_out(path, table.to_csv(digits=DIGITS + 10) + errors)
+    return table, errors, False
 
 
 def cmd_constants(args, ctx):
@@ -112,27 +148,10 @@ def cmd_nnrr(args, ctx):
     if args.nmax < 2:
         raise ValueError("nmax must be >= 2")
     system = AngelescoSystem(geometry, weights, ctx)
-    table, from_cache = _nnrr_table_cached(system, args.nmax)
+    table, errors, from_cache = _nnrr_table_cached(system, args.nmax)
     out = args.out or "nnrr.csv"
     _write_out(out, table.to_csv(digits=DIGITS))
-
-    # per-index errors against the ray-limit constants at c = n1/|n|
-    errors = ["n1,n2,err_a1,err_a2,err_b1,err_b2"]
-    const_cache = {}
-    with ctx.workprec():
-        for (n1, n2) in sorted(table.entries):
-            if n1 + n2 == 0:
-                continue
-            cfrac = Fraction(n1, n1 + n2)
-            if cfrac not in const_cache:
-                cd = curve(geometry, mp.mpf(cfrac.numerator) / cfrac.denominator,
-                           ctx, with_dc=False)
-                const_cache[cfrac] = (cd.A1, cd.A2, cd.B1, cd.B2)
-            A1, A2, B1, B2 = const_cache[cfrac]
-            a1, a2, b1, b2 = table.get((n1, n2))
-            errs = [abs(a1 - A1), abs(a2 - A2), abs(b1 - B1), abs(b2 - B2)]
-            errors.append(f"{n1},{n2}," + ",".join(mp.nstr(e, 12) for e in errs))
-    _write_out(out + ".errors.csv", "\n".join(errors) + "\n")
+    _write_out(out + ".errors.csv", errors)
     report = {"cache_hit": from_cache, "n_max": args.nmax, "table": out}
     _write_out(out + ".report.json", json.dumps(report, sort_keys=True, indent=2) + "\n")
     return 0
@@ -197,8 +216,10 @@ def _suite_mfun(args, ctx, geometry, weights):
           for x in (-2.5, -1.2, 0.0, 1.2, 2.5) for y in (0.3, 0.6, 1.0, 1.6)]
     worst = 0.0
     for z in zs:
+        # m_recursion returns both m_l, and one chi^(0)(z) gives both closed forms
+        rec, closed = m_recursion(cd, 1, z), m_closed_pair(cd, z, ctx)
         for l in (1, 2):
-            worst = max(worst, abs(m_recursion(cd, l, z).get(l) - m_closed(cd, l, z, ctx)))
+            worst = max(worst, abs(rec.get(l) - closed.get(l)))
     ok = worst <= 1e-10
     return ok, {"c": str(args.c), "grid_points": len(zs), "max_difference": worst,
                 "threshold": 1e-10}

@@ -911,10 +911,16 @@ def h_eval_w(curve_data, w):
 
 
 def h_branch(curve_data, z, sheet, ctx, side=+1):
-    """Branch value h^(sheet)(z) = h(chi^(sheet)(z))."""
+    """Branch value h^(sheet)(z) = h(chi^(sheet)(z)).
+
+    On the sheet of a collapsed support (A_sheet = 0, at c = 0 or 1) the
+    measure mu_sheet is zero, so h^(sheet) = -C_{mu_sheet} is exactly 0.
+    """
     if sheet not in (0, 1, 2):
         raise ValueError("sheet must be 0, 1, or 2")
     with ctx.workprec():
+        if sheet and curve_data.params()[sheet - 1] == 0:
+            return mp.mpc(0)
         w = chi_eval(curve_data, z, ctx, side=side)[sheet]
         return h_eval_w(curve_data, w)
 

@@ -167,52 +167,73 @@ def poly_divmod(num, den):
 _GL_CACHE = {}
 
 
-def _legendre_and_derivative(x, m):
-    """P_m(x) and P_m'(x) by the three-term recurrence (|x| < 1)."""
-    p_prev, p = mp.mpf(1), x
-    for j in range(1, m):
-        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
-    return p, m * (x * p - p_prev) / (x * x - 1)
-
-
 def gauss_legendre(m, ctx):
     """Nodes and weights of the m-point Gauss-Legendre rule on [-1, 1].
 
-    The m//2 positive nodes are computed by Newton iteration on the
-    three-term Legendre recurrence from Chebyshev initial guesses, at full
-    context precision, and mirrored; for odd m the middle node is exactly 0.
-    Returns (nodes, weights) with nodes strictly increasing.
+    Each of the m//2 positive nodes is found by Newton iteration on the
+    three-term Legendre recurrence, started from its Chebyshev guess
+    cos(pi (k - 1/4) / (m + 1/2)) and stopped once |dx| <= 2^(-bits-10)
+    (1 + |x|). The Newton loop runs on Python integers in fixed point with
+    scale 2^wp, wp = bits + 20 + bit_length(m): one recurrence step is one
+    big-integer product, one shift, two small-integer products and one floor
+    division, and truncates by less than two units of 2^-wp. The recurrence
+    is forward-stable on (-1, 1), so the bit_length(m) guard bits cover the
+    m steps' accumulated error and the 20 beyond them keep node and weight
+    correct to the context precision before rounding. Each weight
+    2 (1 - x^2) / (m (x P_m - P_{m-1}))^2 is formed in mpf from P_m and
+    P_{m-1} at the converged node. The positive nodes are mirrored; for odd
+    m the middle node is exactly 0. Nodes and weights are rounded to the
+    context precision. Returns (nodes, weights) with nodes strictly
+    increasing; rules are memoised per (m, bits).
     """
     m = int(m)
     if m < 1:
         raise ValueError("node count must be >= 1")
-    key = (m, ctx.mantissa_bits)
+    bits = ctx.mantissa_bits
+    key = (m, bits)
     hit = _GL_CACHE.get(key)
     if hit is not None:
         return hit
-    with mp.workprec(ctx.mantissa_bits + 20):
-        tol = mp.mpf(2) ** (-ctx.mantissa_bits - 10)
-        positive, positive_weights = [], []
-        for k in range(1, m // 2 + 1):
-            x = mp.cos(mp.pi * (k - mp.mpf(1) / 4) / (m + mp.mpf(1) / 2))
-            for _ in range(200):
-                p, dp = _legendre_and_derivative(x, m)
-                dx = p / dp
-                x -= dx
-                if abs(dx) <= tol * (1 + abs(x)):
-                    break
-            _, dp = _legendre_and_derivative(x, m)
-            positive.append(x)
-            positive_weights.append(2 / ((1 - x * x) * dp * dp))
-        middle, middle_weight = [], []
-        if m % 2:
-            _, dp = _legendre_and_derivative(mp.mpf(0), m)
-            middle, middle_weight = [mp.mpf(0)], [2 / (dp * dp)]
-        nodes = [-x for x in positive] + middle + positive[::-1]
-        weights = positive_weights + middle_weight + positive_weights[::-1]
+    wp = bits + 20 + m.bit_length()
+    one = 1 << wp
+
+    def legendre(X):
+        # P_m and P_{m-1} at x = X / 2^wp, both scaled by 2^wp
+        p_prev, p = one, X
+        for j in range(1, m):
+            p_prev, p = p, ((2 * j + 1) * (X * p >> wp) - j * p_prev) // (j + 1)
+        return p, p_prev
+
+    def weight(X, p, p_prev):
+        with mp.workprec(wp):
+            v = mp.ldexp(m * ((X * p >> wp) - p_prev), -wp)
+            return 2 * mp.ldexp(one - (X * X >> wp), -wp) / (v * v)
+
+    positive, positive_weights = [], []
+    with mp.workprec(bits + 20):
+        guesses = [mp.cos(mp.pi * (k - mp.mpf(1) / 4) / (m + mp.mpf(1) / 2))
+                   for k in range(1, m // 2 + 1)]
+    for guess in guesses:
+        X = int(mp.ldexp(guess, wp))
+        for _ in range(200):
+            p, p_prev = legendre(X)
+            # dx = P_m / P_m' with P_m' = m (x P_m - P_{m-1}) / (x^2 - 1)
+            dX = p * ((X * X >> wp) - one) // (m * ((X * p >> wp) - p_prev))
+            X -= dX
+            if abs(dX) << (bits + 10) <= one + abs(X):
+                break
+        positive.append(X)
+        positive_weights.append(weight(X, *legendre(X)))
+    if m % 2:
+        # the middle node, exactly 0, goes last and is not mirrored
+        positive.append(0)
+        positive_weights.append(weight(0, *legendre(0)))
+    half = m // 2
     with ctx.workprec():
-        nodes = [+x for x in nodes]
-        weights = [+w for w in weights]
+        positive = [mp.ldexp(mp.mpf(X), -wp) for X in positive]
+        positive_weights = [+w for w in positive_weights]
+        nodes = [-x for x in positive[:half]] + positive[::-1]
+        weights = positive_weights[:half] + positive_weights[::-1]
     _GL_CACHE[key] = (nodes, weights)
     return nodes, weights
 

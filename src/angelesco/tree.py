@@ -293,16 +293,21 @@ def m_recursion(curve_data, l, z, iterations=600, tol=1e-12):
     raise ConvergenceError("fixed point did not converge; increase Im z or iterations")
 
 
-def m_closed(curve_data, l, z, ctx, side=+1):
-    """Closed form -1/(chi^(0)(z) - B_l) through the sheet solver."""
+def m_closed_pair(curve_data, z, ctx, side=+1):
+    """Closed forms -1/(chi^(0)(z) - B_l), l = 1, 2, from one sheet evaluation."""
     from .curve import chi_eval
 
-    if l not in (1, 2):
-        raise ValueError("l must be 1 or 2")
     with ctx.workprec():
         w0 = chi_eval(curve_data, z, ctx, side=side)[0]
-        B = curve_data.B1 if l == 1 else curve_data.B2
-        return complex(-1 / (w0 - B))
+        return MFunctionPair(complex(-1 / (w0 - curve_data.B1)),
+                             complex(-1 / (w0 - curve_data.B2)))
+
+
+def m_closed(curve_data, l, z, ctx, side=+1):
+    """Closed form -1/(chi^(0)(z) - B_l) through the sheet solver."""
+    if l not in (1, 2):
+        raise ValueError("l must be 1 or 2")
+    return m_closed_pair(curve_data, z, ctx, side=side).get(l)
 
 
 def m_spectral_density(curve_data, l, x, ctx):

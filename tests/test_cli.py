@@ -1,9 +1,13 @@
+import importlib
 import json
 import os
 
 import mpmath as mp
 
 from angelesco.cli import main
+
+cli = importlib.import_module("angelesco.cli")
+curve_mod = importlib.import_module("angelesco.curve")
 
 
 def run_cli(args, capsys):
@@ -61,6 +65,60 @@ def test_nnrr_outputs_and_cache(tmp_path, capsys, monkeypatch):
     rep2 = json.loads((tmp_path / "table.csv.report.json").read_text())
     assert rep2["cache_hit"] is True
     assert out.read_text() == text
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_nnrr_cached_rerun_reuses_errors(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ANGELESCO_CACHE_DIR", str(tmp_path / "cache"))
+    base = ["nnrr", "--geom=-2,-1,1,2", "--nmax", "3", "--bits", "128", "--out"]
+    assert run_cli(base + [str(tmp_path / "cold.csv")], capsys)[0] == 0
+    calls = _count_calls(monkeypatch, cli, "curve")
+    assert run_cli(base + [str(tmp_path / "warm.csv")], capsys)[0] == 0
+    assert calls == []
+    assert json.loads((tmp_path / "warm.csv.report.json").read_text())["cache_hit"] is True
+    assert ((tmp_path / "warm.csv.errors.csv").read_bytes()
+            == (tmp_path / "cold.csv.errors.csv").read_bytes())
+
+
+def test_nnrr_cache_without_errors_recomputes_them(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("ANGELESCO_CACHE_DIR", str(cache))
+    base = ["nnrr", "--geom=-2,-1,1,2", "--nmax", "2", "--bits", "128", "--out"]
+    assert run_cli(base + [str(tmp_path / "cold.csv")], capsys)[0] == 0
+    # an entry as an older version wrote it: the table alone
+    (entry,) = cache.iterdir()
+    full = entry.read_text()
+    entry.write_text(full.partition(cli.ERRORS_HEADER)[0])
+    calls = _count_calls(monkeypatch, cli, "curve")
+    assert run_cli(base + [str(tmp_path / "warm.csv")], capsys)[0] == 0
+    assert len(calls) > 0
+    assert json.loads((tmp_path / "warm.csv.report.json").read_text())["cache_hit"] is True
+    # recomputed from the cached 40-digit table, and appended to the entry
+    errors = (tmp_path / "warm.csv.errors.csv").read_text()
+    assert errors.splitlines()[0] == cli.ERRORS_HEADER
+    assert entry.read_text() == full.partition(cli.ERRORS_HEADER)[0] + errors
+
+
+def test_verify_mfun_one_sheet_evaluation_per_point(capsys, monkeypatch):
+    chi_calls = _count_calls(monkeypatch, curve_mod, "chi_eval")
+    rec_calls = _count_calls(monkeypatch, cli, "m_recursion")
+    code, out, _ = run_cli(["verify", "mfun", "--geom=-2,-1,1,2", "--c", "0.4",
+                            "--bits", "128"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["detail"]["grid_points"] == 20
+    assert len(chi_calls) == 20 and len(rec_calls) == 20
 
 
 def test_verify_mfun_and_equilibrium(tmp_path, capsys):

@@ -301,6 +301,20 @@ def test_h_branch_divisor_and_masses(cd_half):
         assert abs(h_branch(cd, cd.z_c, 0, CTX)) < mp.mpf("1e-100")
 
 
+@pytest.mark.parametrize("bits", [128, 512])
+@pytest.mark.parametrize("c, sheet, edges", [(0, 1, (1, 2)), (1, 2, (-2, -1))])
+def test_h_branch_collapsed_sheet_is_zero(bits, c, sheet, edges):
+    ctx = PrecisionContext(bits)
+    cd = curve(G0, c, ctx)
+    for x in ("-1.5", "0.5", "1.5", "5"):
+        assert h_branch(cd, mp.mpf(x), sheet, ctx) == 0
+    # the live sheet keeps its hard edges
+    live = 3 - sheet
+    for x in edges:
+        with pytest.raises(DomainError):
+            h_branch(cd, mp.mpf(x), live, ctx)
+
+
 def test_h_mass_residue_for_pushed(cd_small):
     with CTX.workprec():
         z = mp.mpf(10) ** 8

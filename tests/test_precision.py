@@ -1,6 +1,9 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.calculus.quadrature import GaussLegendre
 
 from angelesco.errors import BracketError, ShapeError, SingularSystem
 from angelesco.precision import (
@@ -43,6 +46,75 @@ def test_gauss_legendre_weight_sum_and_ordering(m):
         assert all(nodes[i] == -nodes[m - 1 - i] for i in range(m))
         assert all(weights[i] == weights[m - 1 - i] for i in range(m))
         assert abs(mp.fsum(weights) - 2) < CTX.eps * 64
+
+
+def _legendre_and_derivative(x, m):
+    """P_m(x) and P_m'(x) by the three-term recurrence (|x| < 1)."""
+    p_prev, p = mp.mpf(1), x
+    for j in range(1, m):
+        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+    return p, m * (x * p - p_prev) / (x * x - 1)
+
+
+def _gauss_legendre_mpf(m, ctx):
+    """Oracle: the same Newton iteration on mpf at bits + 20, rounded to bits."""
+    with mp.workprec(ctx.mantissa_bits + 20):
+        tol = mp.mpf(2) ** (-ctx.mantissa_bits - 10)
+        positive, positive_weights = [], []
+        for k in range(1, m // 2 + 1):
+            x = mp.cos(mp.pi * (k - mp.mpf(1) / 4) / (m + mp.mpf(1) / 2))
+            for _ in range(200):
+                p, dp = _legendre_and_derivative(x, m)
+                dx = p / dp
+                x -= dx
+                if abs(dx) <= tol * (1 + abs(x)):
+                    break
+            _, dp = _legendre_and_derivative(x, m)
+            positive.append(x)
+            positive_weights.append(2 / ((1 - x * x) * dp * dp))
+        middle, middle_weight = [], []
+        if m % 2:
+            _, dp = _legendre_and_derivative(mp.mpf(0), m)
+            middle, middle_weight = [mp.mpf(0)], [2 / (dp * dp)]
+        nodes = [-x for x in positive] + middle + positive[::-1]
+        weights = positive_weights + middle_weight + positive_weights[::-1]
+    with ctx.workprec():
+        return [+x for x in nodes], [+w for w in weights]
+
+
+@settings(max_examples=20, deadline=None)
+@given(m=st.integers(1, 130), bits=st.sampled_from([128, 160, 192, 256, 512]))
+def test_gauss_legendre_bit_identical_to_mpf_newton(m, bits):
+    ctx = PrecisionContext(bits)
+    nodes, weights = gauss_legendre(m, ctx)
+    want_nodes, want_weights = _gauss_legendre_mpf(m, ctx)
+    assert [x._mpf_ for x in nodes] == [x._mpf_ for x in want_nodes]
+    assert [w._mpf_ for w in weights] == [w._mpf_ for w in want_weights]
+
+
+@pytest.mark.parametrize("degree, m", [(3, 12), (5, 48)])
+@pytest.mark.parametrize("bits", [128, 512])
+def test_gauss_legendre_matches_mpmath_rule(degree, m, bits):
+    ctx = PrecisionContext(bits)
+    nodes, weights = gauss_legendre(m, ctx)
+    ref = sorted(GaussLegendre(mp.mp).calc_nodes(degree, bits))
+    assert len(ref) == m
+    with mp.workprec(2 * bits):
+        tol = mp.mpf(2) ** (4 - bits)
+        for x, w, (rx, rw) in zip(nodes, weights, ref):
+            assert abs(x - rx) <= tol and abs(w - rw) <= tol
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 16, 33, 64])
+@pytest.mark.parametrize("bits", [128, 512])
+def test_gauss_legendre_exact_on_even_monomials(m, bits):
+    ctx = PrecisionContext(bits)
+    nodes, weights = gauss_legendre(m, ctx)
+    with ctx.workprec():
+        tol = mp.mpf(2) ** (8 - bits)
+        for k in range(m):
+            got = mp.fsum(w * x ** (2 * k) for x, w in zip(nodes, weights))
+            assert abs(got - mp.mpf(2) / (2 * k + 1)) <= tol
 
 
 def integrate(f, interval, m, ctx):
