@@ -2,10 +2,10 @@
 
 Dirichlet truncations of the model operator (coefficients frozen at their
 ray limits) and of the Jacobi operator with the synthetic coefficient field
-are diagonalized at increasing depth; their eigenvalues fill the two
-orthogonality intervals and stay out of the gap. The degenerate boundary
-ray decouples into half-lines with one bound state pinned at the far left
-endpoint, reproduced by the closed-form resolvent identity.
+are solved by inertia counts at increasing depth; their eigenvalues fill
+the two orthogonality intervals and stay out of the gap. The degenerate
+boundary ray decouples into half-lines with one bound state pinned at the
+far left endpoint, reproduced by the closed-form resolvent identity.
 """
 
 import mpmath as mp

@@ -893,12 +893,12 @@ def h_eval_w(curve_data, w):
     """
     num = [curve_data.B1, curve_data.B2, curve_data.w_star]
     den = list(curve_data.w_crit)
-    # cancel the divisor zero that sits at a ramification point
-    for wn in num:
+    # cancel every divisor zero that sits at a ramification point: one in
+    # general, two at the triple point w1 = w2 = w* = B1 (c = 0; B2 at c = 1)
+    for wn in list(num):
         if wn in den:
             num.remove(wn)
             den.remove(wn)
-            break
     val = mp.mpc(1)
     for wn in num:
         val *= w - wn

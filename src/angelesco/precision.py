@@ -3,8 +3,8 @@
 Real/complex scalars are mpmath ``mpf``/``mpc`` values created under a
 :class:`PrecisionContext`; every public operation wraps its arithmetic in the
 context's working precision, so results are deterministic for fixed bits.
-The machine-precision symmetric eigensolver lives here as well because tree
-truncations never need more than double precision.
+The dense machine-precision symmetric eigensolver lives here as well; tree
+spectra come from inertia counts in ``tree``, and it is their dense oracle.
 """
 
 import mpmath as mp
@@ -305,8 +305,10 @@ def solve_dense(A, b, ctx, pivot_tol=None):
 def sym_eig(S, want_vectors=False, sym_tol=1e-12):
     """Eigenvalues (ascending) of a dense symmetric machine-real matrix.
 
-    Dense Householder + implicit-shift factorization via LAPACK; dimensions
-    capped at EIG_DIM_CAP. Asymmetry beyond sym_tol (relative) raises ShapeError.
+    The dense oracle for the tree spectra, which the package computes by
+    inertia counts. Householder + implicit-shift factorization via LAPACK;
+    dimensions capped at EIG_DIM_CAP. Asymmetry beyond sym_tol (relative)
+    raises ShapeError.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:

@@ -156,6 +156,24 @@ def test_verify_spectrum_small_depth(capsys):
     assert doc["detail"]["model_inside_fraction"] >= 0.9
 
 
+def test_verify_spectrum_depth11_by_counts(capsys, monkeypatch):
+    def dense_route(*args, **kwargs):
+        raise AssertionError("dense eigensolve")
+
+    monkeypatch.setattr(importlib.import_module("angelesco.precision"), "sym_eig", dense_route)
+    monkeypatch.setattr(importlib.import_module("angelesco.tree").TreeTruncation, "dense",
+                        dense_route)
+    code, out, _ = run_cli(["verify", "spectrum", "--geom=-2,-1,1,2",
+                            "--depth", "11", "--bits", "192"], capsys)
+    assert code == 0
+    detail = json.loads(out)["detail"]
+    # the dense eigvalsh route wrote the same fractions and these gaps
+    assert detail["model_inside_fraction"] == 1.0
+    assert detail["jacobi_inside_fraction"] == 4094 / 4095
+    assert abs(detail["model_max_gap"] - 0.02148618562084148) < 1e-13
+    assert abs(detail["jacobi_max_gap"] - 0.021489805316551314) < 1e-13
+
+
 def test_verify_limits_small(capsys):
     code, out, _ = run_cli(["verify", "limits", "--geom=-2,-1,1,2",
                             "--nmax", "8", "--bits", "256"], capsys)

@@ -315,6 +315,21 @@ def test_h_branch_collapsed_sheet_is_zero(bits, c, sheet, edges):
             h_branch(cd, mp.mpf(x), live, ctx)
 
 
+@pytest.mark.parametrize("bits", [128, 512])
+@pytest.mark.parametrize("c, live, xs, sign", [(0, 2, ("-2", "-1.5", "-1.2"), -1),
+                                               (1, 1, ("2", "1.5", "1.2"), 1)])
+def test_h_branch_triple_point(bits, c, live, xs, sign):
+    # at c = 0 both ramification points and w* meet B1, so two divisor zeros
+    # cancel; sheet 0 is finite at the outer edge and mirrors the live sheet
+    ctx = PrecisionContext(bits)
+    cd = curve(G0, c, ctx)
+    with ctx.workprec():
+        for x in xs:
+            h0 = h_branch(cd, mp.mpf(x), 0, ctx)
+            assert abs(h0 + h_branch(cd, mp.mpf(x), live, ctx)) < mp.ldexp(1, 16 - bits)
+        assert abs(h_branch(cd, mp.mpf(xs[0]), 0, ctx) - sign * mp.mpf("0.28868")) < mp.mpf("1e-5")
+
+
 def test_h_mass_residue_for_pushed(cd_small):
     with CTX.workprec():
         z = mp.mpf(10) ** 8

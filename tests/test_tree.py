@@ -5,15 +5,21 @@ from types import SimpleNamespace
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
+from angelesco import precision
 from angelesco.curve import curve
-from angelesco.errors import DomainError, SourceError
+from angelesco.errors import DomainError, ShapeError, SourceError
 from angelesco.mops import AngelescoSystem, lebesgue_weights, reference_geometry
-from angelesco.precision import PrecisionContext
+from angelesco.precision import PrecisionContext, sym_eig
 from angelesco.tree import (
     ComputedSource,
     PerturbedSource,
     SyntheticSource,
+    TreeTruncation,
+    _PivotClasses,
     appendix_c0,
     assemble_J,
     assemble_L,
@@ -160,6 +166,155 @@ def test_weyl_insensitivity(synthetic, cd_half):
         # a finite-rank change moves at most rank-many eigenvalues
         assert diffs[-1] <= 14 / a["dim"]
     assert diffs[1] <= diffs[0] + 0.01
+
+
+EPS = np.finfo(float).eps
+VALUES = (-1.0, -0.5, 0.0, 0.5, 1.0)
+WEIGHTS = (0.0, 0.5, 1.0, 1.5)
+
+
+def _vertex_counts(M, xs):
+    """Per-vertex Sylvester counts: eliminate M - x I from the highest index down."""
+    M = sparse.csr_matrix(M)
+    xs = np.asarray(xs, dtype=float)
+    pivots = M.diagonal()[:, None] - xs[None, :]
+    for v in range(M.shape[0] - 1, 0, -1):
+        row = M.getrow(v)
+        lower = row.indices[row.indices < v]
+        if len(lower):
+            d = np.where(pivots[v] == 0, 1e-300, pivots[v])
+            with np.errstate(over="ignore"):
+                pivots[lower[0]] -= row[0, lower[0]] ** 2 / d
+    return np.sum(pivots < 0, axis=0)
+
+
+def _check_kernel(M, xs):
+    quotient = _PivotClasses(M)
+    eigs = quotient.eigenvalues()
+    dense = sym_eig(M.toarray())
+    assert len(eigs) == M.shape[0] and np.all(np.diff(eigs) >= 0)
+    assert np.max(np.abs(eigs - dense)) <= 64 * EPS * max(1.0, float(np.max(np.abs(dense))))
+    # the quotient repeats the per-vertex arithmetic, so counts agree exactly,
+    # also on the diagonal values and at the eigenvalues, where pivots vanish
+    xs = np.concatenate([xs, M.diagonal(), eigs])
+    assert np.array_equal(quotient.count_below(xs), _vertex_counts(M, xs))
+
+
+@st.composite
+def heap_trees(draw):
+    """A complete binary heap of depth <= 7 with a few subtrees cut off.
+
+    Values depend on (level, type) with a few per-vertex overrides, so most
+    vertices share pivot classes; zero weights split the tree into a forest.
+    """
+    depth = draw(st.integers(0, 7))
+    n = 2 ** (depth + 1) - 1
+    cut = draw(st.sets(st.integers(1, n - 1), max_size=6)) if n > 1 else set()
+    diag = draw(st.lists(st.sampled_from(VALUES), min_size=2 * depth + 2, max_size=2 * depth + 2))
+    weight = draw(st.lists(st.sampled_from(WEIGHTS), min_size=2 * depth + 2,
+                           max_size=2 * depth + 2))
+    override = draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from(VALUES), max_size=4))
+    keep = [True] * n
+    for v in range(1, n):
+        keep[v] = keep[(v - 1) // 2] and v not in cut
+    label = {v: i for i, v in enumerate(v for v in range(n) if keep[v])}
+    M = np.zeros((len(label), len(label)))
+    for v, i in label.items():
+        slot = 2 * ((v + 1).bit_length() - 1) + v % 2
+        M[i, i] = override.get(v, diag[slot])
+        if v:
+            p = label[(v - 1) // 2]
+            M[i, p] = M[p, i] = weight[slot]
+    return sparse.csr_matrix(M)
+
+
+@settings(max_examples=40, deadline=None)
+@given(M=heap_trees(), xs=st.lists(st.floats(-4, 4), max_size=6))
+def test_pivot_classes_random_trees(M, xs):
+    _check_kernel(M, xs)
+
+
+class _Frozen:
+    def __init__(self, A, B):
+        self.A, self.B = A, B
+
+    def a(self, n, i):
+        return self.A[i - 1]
+
+    def b(self, n, i):
+        return self.B[i - 1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(depth=st.integers(0, 6),
+       A=st.tuples(st.sampled_from((0.0, 0.25, 1.0)), st.sampled_from((0.25, 1.0))),
+       B=st.tuples(st.sampled_from(VALUES), st.sampled_from(VALUES)),
+       a_over=st.dictionaries(st.tuples(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                                        st.sampled_from((1, 2))),
+                              st.sampled_from((0.0, 0.25, 2.0)), max_size=4),
+       b_over=st.dictionaries(st.tuples(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                                        st.sampled_from((1, 2))),
+                              st.sampled_from(VALUES), max_size=4),
+       xs=st.lists(st.floats(-4, 4), max_size=6))
+def test_pivot_classes_perturbed_source(depth, A, B, a_over, b_over, xs):
+    source = PerturbedSource(_Frozen(A, B), a_overrides=a_over, b_overrides=b_over)
+    _check_kernel(assemble_J(build_tree(depth), source).matrix, xs)
+
+
+def test_pivot_classes_merge_and_reject_non_trees(cd_half):
+    # two classes per level below the root: 21 for 2047 vertices at depth 10
+    assert len(_PivotClasses(assemble_L(build_tree(10), 0.5, 1, cd_half).matrix)._diag) == 21
+    cycle = sparse.csr_matrix(np.ones((3, 3)) - np.eye(3))
+    with pytest.raises(ShapeError):
+        _PivotClasses(cycle)
+    with pytest.raises(ShapeError):
+        _PivotClasses(sparse.csr_matrix(np.array([[0.0, 1.0], [0.5, 0.0]])))
+
+
+@pytest.mark.parametrize("kind", ["L", "J"])
+def test_pivot_classes_against_mpmath(kind, cd_half, synthetic):
+    tree = build_tree(5)
+    T = assemble_L(tree, 0.5, 1, cd_half) if kind == "L" else assemble_J(tree, synthetic)
+    with mp.workdps(40):
+        exact = np.array(sorted(float(v) for v in
+                                mp.eigsy(mp.matrix(T.dense().tolist()), eigvals_only=True)))
+    eigs = _PivotClasses(T.matrix).eigenvalues()
+    assert np.max(np.abs(eigs - exact)) <= 2 * EPS * max(1.0, float(np.max(np.abs(exact))))
+
+
+def test_spectrum_probe_depth10_without_dense_matrix(cd_half, monkeypatch):
+    def dense_route(*args, **kwargs):
+        raise AssertionError("dense eigensolve")
+
+    monkeypatch.setattr(precision, "sym_eig", dense_route)
+    monkeypatch.setattr(np.linalg, "eigvalsh", dense_route)
+    monkeypatch.setattr(TreeTruncation, "dense", dense_route)
+    rep = spectrum_probe(assemble_L(build_tree(10), 0.5, 1, cd_half), TARGETS, 0.1)
+    assert rep["dim"] == len(rep["eigs"]) == 2047
+    assert np.all(np.diff(rep["eigs"]) >= 0)
+    assert rep["inside_fraction"] == 1.0
+    # the dense eigvalsh route gave 0.029741600619635822, good to its own 1e-15 error
+    assert abs(rep["max_coverage_gap"] - 0.029741600619635822) < 1e-13
+
+
+@pytest.mark.parametrize("eigs", [np.array([-2.0, -1.93, -1.5, -1.0, 0.3, 1.0, 1.004, 2.0, 2.2]),
+                                  np.sort(np.random.default_rng(5).uniform(-2.5, 2.5, 301))])
+def test_probe_statistics_match_loops(eigs, monkeypatch):
+    # the vectorised statistics reproduce the per-point loops bit for bit
+    monkeypatch.setattr(_PivotClasses, "eigenvalues", lambda self: eigs)
+    T = TreeTruncation(sparse.identity(len(eigs), format="csr"), "stub", 0)
+    rep = spectrum_probe(T, TARGETS, 0.1)
+    dist = [min(max(a - x, 0.0, x - b) for a, b in TARGETS) for x in eigs]
+    gaps = [float(np.min(np.abs(eigs - x)))
+            for a, b in TARGETS for x in np.arange(a, b + 0.01 / 2, 0.01)]
+    assert rep["inside_fraction"] == sum(1 for d in dist if d <= 0.1) / len(eigs)
+    assert rep["max_coverage_gap"] == max(gaps)
+
+
+def test_spectrum_probe_dimension_cap(monkeypatch):
+    monkeypatch.setattr(sys.modules["angelesco.tree"], "EIG_DIM_CAP", 10)
+    with pytest.raises(ShapeError):
+        spectrum_probe(TreeTruncation(sparse.identity(15, format="csr"), "I", 3), TARGETS, 0.1)
 
 
 def test_m_recursion_basics(cd_half):
