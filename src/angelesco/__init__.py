@@ -29,15 +29,10 @@ from .mops import (
     NnrrTable,
     WeightSpec,
     lebesgue_weights,
-    linear_form_eval,
     moments,
-    nnrr_table,
-    recurrence_residual,
     reference_geometry,
-    remainder_eval,
     type1_mop,
     type2_mop,
-    zeros,
 )
 from .precision import PrecisionContext, Poly
 from .szego import marginal_predict, ratio_report, s_x0, szego_rho
@@ -79,16 +74,12 @@ __all__ = [
     "equilibrium",
     "h_branch",
     "lebesgue_weights",
-    "linear_form_eval",
     "m_closed",
     "m_recursion",
     "marginal_predict",
     "moments",
-    "nnrr_table",
     "ratio_report",
-    "recurrence_residual",
     "reference_geometry",
-    "remainder_eval",
     "rlimit_check",
     "s_x0",
     "spectrum_probe",
@@ -96,5 +87,4 @@ __all__ = [
     "type1_mop",
     "type2_mop",
     "upsilon",
-    "zeros",
 ]

@@ -200,20 +200,13 @@ def _wstar_of_mass(p, w_crit, c):
 # ---------------------------------------------------------------------------
 
 def _newton(F, x0, ctx, validator=None, max_iter=80):
-    """Damped Newton with numerically differentiated Jacobian fallback.
-
-    F(x) returns (residual_vector, jacobian or None); when the jacobian is
-    None it is formed by forward differences at half working precision.
-    """
+    """Damped Newton; F(x) returns (residual_vector, analytic jacobian)."""
     from .precision import solve_dense
 
     x = [mp.mpf(v) for v in x0]
-    n = len(x)
     fx, J = F(x)
     best = max(abs(v) for v in fx)
     for _ in range(max_iter):
-        if J is None:
-            J = _fd_jacobian(lambda y: F(y)[0], x, fx, ctx)
         try:
             step, _ = solve_dense(J, [-v for v in fx], ctx)
         except (SingularSystem, ShapeError) as exc:
@@ -242,20 +235,6 @@ def _newton(F, x0, ctx, validator=None, max_iter=80):
 
 def _scale_of(x):
     return max(mp.mpf(1), max(abs(v) for v in x))
-
-
-def _fd_jacobian(f, x, fx, ctx):
-    n = len(x)
-    h = mp.mpf(2) ** (-ctx.mantissa_bits // 3)
-    J = [[mp.mpf(0)] * n for _ in range(n)]
-    for j in range(n):
-        dx = h * max(mp.mpf(1) / 16, abs(x[j]))
-        xp = list(x)
-        xp[j] += dx
-        fp = f(xp)
-        for i in range(n):
-            J[i][j] = (fp[i] - fx[i]) / dx
-    return J
 
 
 def _chi_residual_rows(params, targets, ctx):
@@ -294,79 +273,41 @@ def _is_symmetric(branch_points, ctx):
     return abs(a1 + b2) < ctx.solve_tolerance * s and abs(b1 + a2) < ctx.solve_tolerance * s
 
 
-def chi_solve(branch_points, ctx, seed=None):
+def chi_solve(branch_points, ctx):
     """Map parameters (A1, A2, B1, B2) whose critical values hit the branch points.
 
-    On symmetric point sets the system is halved by imposing A1 = A2 and
-    B1 = -B2. Direct Newton from interval-based seeds; on divergence, a
-    homotopy slides the branch points in from an easier configuration.
+    One Newton solve from interval-based seeds; on symmetric point sets the
+    system is halved by imposing A1 = A2 and B1 = -B2.
     Returns (params, w_crit, residual).
     """
     with ctx.workprec():
         bp = tuple(mp.mpf(v) for v in branch_points)
         if not all(x < y for x, y in zip(bp, bp[1:])):
             raise SolveFailure("branch points must be strictly increasing")
+        x0 = _default_seed(bp)
+        if _is_symmetric(bp, ctx):
+            def F(y):
+                A, B = y
+                rows, Jrows, _ = _chi_residual_rows([A, A, -B, B], bp, ctx)
+                # equations at the two right critical points determine (A, B)
+                F2 = [rows[2], rows[3]]
+                J2 = [[Jrows[2][0] + Jrows[2][1], Jrows[2][3] - Jrows[2][2]],
+                      [Jrows[3][0] + Jrows[3][1], Jrows[3][3] - Jrows[3][2]]]
+                return F2, J2
 
-        def solve_once(targets, x0):
-            symmetric = _is_symmetric(targets, ctx)
+            x, _ = _newton(F, [x0[1], x0[3]], ctx,
+                           validator=lambda y: y[0] > 0 and y[1] > 0)
+            params = (x[0], x[0], -x[1], x[1])
+        else:
+            def F(y):
+                rows, J, _ = _chi_residual_rows(y, bp, ctx)
+                return rows, J
 
-            def validator(x):
-                return x[0] > 0 and x[1] > 0 and x[2] < x[3]
-
-            if symmetric:
-                def F(y):
-                    A, B = y
-                    full = [A, A, -B, B]
-                    rows, Jrows, _ = _chi_residual_rows(full, targets, ctx)
-                    # equations at the two right critical points determine (A, B)
-                    F2 = [rows[2], rows[3]]
-                    J2 = [[Jrows[2][0] + Jrows[2][1], Jrows[2][3] - Jrows[2][2]],
-                          [Jrows[3][0] + Jrows[3][1], Jrows[3][3] - Jrows[3][2]]]
-                    return F2, J2
-
-                x, resid = _newton(F, [x0[1], x0[3]], ctx,
-                                   validator=lambda y: y[0] > 0 and y[1] > 0)
-                params = (x[0], x[0], -x[1], x[1])
-            else:
-                def F(y):
-                    rows, J, _ = _chi_residual_rows(y, targets, ctx)
-                    return rows, J
-
-                params, resid = _newton(F, x0, ctx, validator=validator)
-                params = tuple(params)
-            w_crit = _critical_points(params, ctx)
-            full_resid = max(abs(_R(wj, params) - t) for wj, t in zip(w_crit, targets))
-            return params, w_crit, full_resid
-
-        scale = max(1, max(abs(v) for v in bp))
-        tol = ctx.solve_tolerance * scale
-        x0 = [mp.mpf(v) for v in (seed or _default_seed(bp))]
-        try:
-            params, w_crit, resid = solve_once(bp, x0)
-            if resid <= tol:
-                return params, w_crit, resid
-        except SolveFailure:
-            pass
-        # homotopy: slide from a comfortable symmetric configuration
-        lo, hi = bp[0], bp[3]
-        easy = (lo, lo + (hi - lo) * mp.mpf("0.35"), lo + (hi - lo) * mp.mpf("0.65"), hi)
-        params, w_crit, resid = solve_once(easy, _default_seed(easy))
-        t_done, step = mp.mpf(0), mp.mpf("0.25")
-        while t_done < 1:
-            t_try = min(mp.mpf(1), t_done + step)
-            targets = tuple(e + t_try * (b - e) for e, b in zip(easy, bp))
-            try:
-                cand, w_cand, resid = solve_once(targets, list(params))
-            except SolveFailure:
-                resid = tol * 2
-            if resid <= tol * 4:
-                params, w_crit, t_done = cand, w_cand, t_try
-                step = min(step * 2, mp.mpf("0.25"))
-            else:
-                step /= 2
-                if step < mp.mpf("1e-6"):
-                    raise SolveFailure("continuation stalled while sliding branch points")
-        if resid > tol:
+            x, _ = _newton(F, x0, ctx, validator=lambda y: y[0] > 0 and y[1] > 0 and y[2] < y[3])
+            params = tuple(x)
+        w_crit = _critical_points(params, ctx)
+        resid = max(abs(_R(wj, params) - t) for wj, t in zip(w_crit, bp))
+        if resid > ctx.solve_tolerance * max(1, max(abs(v) for v in bp)):
             raise SolveFailure(f"residual {mp.nstr(resid, 5)} above tolerance")
         return params, w_crit, resid
 
@@ -419,79 +360,54 @@ def _closed_form_degenerate(geometry, c, ctx):
             d_c=None, K=mp.mpf(1), solve_residual=mp.mpf(0), geometry=g)
 
 
-def _pushed_left_solve(geometry, c, ctx, seed=None):
+# Below this fraction of c*, the pushed solve is seeded from the small-c laws;
+# above it, from the full-geometry map, which is the pushed solution at c*.
+SMALL_C_SEED_FRACTION = 0.25
+
+
+def _pushed_left_solve(geometry, c, c_star, ctx):
     """Joint 5-unknown Newton on (A1, A2, B1, B2, beta) in the pushed regime.
 
     The four critical values target (alpha1, beta, alpha2, beta2) with beta an
     unknown, and the mass condition pins the h-zero at the critical point
-    over beta. Seeds follow the small-c laws A1 ~ (c |w2(alpha1)|)^2 and
-    beta ~ alpha1 + 4 c |w2(alpha1)|.
+    over beta. For c < c*/4 the seed follows the small-c laws
+    A1 ~ (c |w2(alpha1)|)^2 and beta ~ alpha1 + 4 c |w2(alpha1)|; otherwise it
+    is the full-geometry map with beta = beta1.
     """
     g = geometry
-    W = abs(w_map(g.alpha1, g.alpha2, g.beta2))
+    if c < SMALL_C_SEED_FRACTION * c_star:
+        W = abs(w_map(g.alpha1, g.alpha2, g.beta2))
+        c0 = _closed_form_degenerate(g, 0, ctx)
+        x0 = [(c * W) ** 2, c0.A2, c0.B1, c0.B2, g.alpha1 + 4 * c * W]
+    else:
+        x0 = list(_full_map(g, ctx)[0]) + [g.beta1]
 
-    def seed_for(cc):
-        A2 = ((g.beta2 - g.alpha2) / 4) ** 2
-        B2 = (g.beta2 + g.alpha2) / 2
-        B1 = B2 + phi_map(g.alpha1, g.alpha2, g.beta2)
-        return [(cc * W) ** 2, A2, B1, B2, g.alpha1 + 4 * cc * W]
-
-    def F(x, cc):
+    def F(x):
         params = tuple(x[:4])
-        beta = x[4]
-        targets = (g.alpha1, beta, g.alpha2, g.beta2)
-        rows, Jrows, w_crit = _chi_residual_rows(params, targets, ctx)
-        mass = _mass_of_wstar(params, w_crit, w_crit[1]) - cc
-        Jfull = [row + [mp.mpf(0)] for row in Jrows]
-        Jfull[1][4] = mp.mpf(-1)
-        # mass row by forward differences (cheap, and safe against slips)
-        h = mp.mpf(2) ** (-ctx.mantissa_bits // 3)
-        mass_row = []
-        for j in range(4):
-            dx = h * max(mp.mpf(1) / 16, abs(x[j]))
-            xp = list(params)
-            xp[j] += dx
-            try:
-                wc2 = _critical_points(tuple(xp), ctx)
-                mp2 = _mass_of_wstar(tuple(xp), wc2, wc2[1]) - cc
-            except SolveFailure:
-                return rows + [mass], None
-            mass_row.append((mp2 - mass) / dx)
-        mass_row.append(mp.mpf(0))
-        Jfull.append(mass_row)
-        return rows + [mass], Jfull
+        A1, A2, B1, B2 = params
+        rows, Jrows, w_crit = _chi_residual_rows(params, (g.alpha1, x[4], g.alpha2, g.beta2), ctx)
+        J = [row + [mp.mpf(0)] for row in Jrows]
+        J[1][4] = mp.mpf(-1)
+        # mass row: m = -A1 (B1 - B2) / prod_{j != 2} (B1 - w_j), and each
+        # critical point moves by dw_j/dp = -(dR'/dp)(w_j) / R''(w_j)
+        mass = _mass_of_wstar(params, w_crit, w_crit[1])
+        dlog = [1 / A1, mp.mpf(0), 1 / (B1 - B2), -1 / (B1 - B2)]
+        for wj in (w_crit[0], w_crit[2], w_crit[3]):
+            u1, u2 = 1 / (wj - B1), 1 / (wj - B2)
+            dRp = (-u1 ** 2, -u2 ** 2, -2 * A1 * u1 ** 3, -2 * A2 * u2 ** 3)
+            Rpp = _Rpp(wj, params)
+            for k in range(4):
+                dlog[k] -= ((k == 2) + dRp[k] / Rpp) / (B1 - wj)
+        J.append([mass * v for v in dlog] + [mp.mpf(0)])
+        return rows + [mass - c], J
 
     def validator(x):
         return x[0] > 0 and x[1] > 0 and x[2] < x[3] and g.alpha1 < x[4] < g.alpha2
 
-    def solve_at(cc, x0):
-        x, resid = _newton(lambda y: F(y, cc), x0, ctx, validator=validator)
-        scale = max(1, max(abs(v) for v in x))
-        if resid > ctx.solve_tolerance * scale:
-            raise SolveFailure(f"pushed-regime residual {mp.nstr(resid, 5)}")
-        return x, resid
-
-    x0 = seed if seed is not None else seed_for(c)
-    try:
-        return solve_at(c, x0)
-    except SolveFailure:
-        pass
-    # continuation in c from a small well-seeded value, steps capped at 0.05
-    c_cur = min(mp.mpf("0.005"), c / 2)
-    x, _ = solve_at(c_cur, seed_for(c_cur))
-    step = mp.mpf("0.05")
-    while c_cur < c:
-        c_try = min(c, c_cur + step)
-        try:
-            x_new, resid = solve_at(c_try, list(x))
-        except SolveFailure:
-            step /= 2
-            if step < mp.mpf("1e-8"):
-                raise SolveFailure("continuation in c stalled")
-            continue
-        x, c_cur = x_new, c_try
-        step = min(step * 2, mp.mpf("0.05"))
-    return solve_at(c, list(x))
+    x, resid = _newton(F, x0, ctx, validator=validator)
+    if resid > ctx.solve_tolerance * _scale_of(x):
+        raise SolveFailure(f"pushed-regime residual {mp.nstr(resid, 5)}")
+    return x, resid
 
 
 def _mirror_curve(curve_data, geometry):
@@ -536,7 +452,7 @@ def curve(geometry, c, ctx, with_dc=True):
                              w_crit=w_crit, w_star=w_star, z_c=z_c, d_c=None, K=K,
                              solve_residual=resid, geometry=g)
         if c < th.c_star:
-            x, resid = _pushed_left_solve(g, c, ctx)
+            x, resid = _pushed_left_solve(g, c, th.c_star, ctx)
             params, beta = tuple(x[:4]), x[4]
             if not (beta <= g.beta1 * (1 + ctx.solve_tolerance) + ctx.solve_tolerance):
                 raise InternalInconsistency("pushed endpoint exceeded the interval")

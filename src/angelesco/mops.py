@@ -18,7 +18,7 @@ from .errors import (
     SingularSystem,
     ZeroLocationFailure,
 )
-from .precision import Poly, PrecisionContext, find_root, gauss_legendre, real_roots_in, solve_dense
+from .precision import Poly, PrecisionContext, find_root, gauss_legendre, real_root_count, solve_dense
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ class WeightSpec:
             p = self.poly_part()
             if not p:
                 raise InvalidWeight("zero polynomial density")
-            if real_roots_in(p, (a - margin, b + margin), ctx):
+            if real_root_count(p, (a - margin, b + margin), ctx):
                 raise InvalidWeight("polynomial density has a root near its interval")
             if p((a + b) / 2) <= 0:
                 raise InvalidWeight("polynomial density is negative on its interval")
@@ -482,29 +482,6 @@ def _isolate_simple_roots(p, a, b, want, ctx, max_refine=6):
             return roots
         grid_n *= 4
     return None
-
-
-# Functional wrappers over a throwaway system, for one-shot use; heavy
-# callers hold an AngelescoSystem to reuse its caches.
-
-def nnrr_table(geometry, weights, n_max, ctx):
-    return AngelescoSystem(geometry, weights, ctx).table(n_max)
-
-
-def recurrence_residual(system, n, j):
-    return system.recurrence_residual(n, j)
-
-
-def zeros(system, n):
-    return system.zeros(n)
-
-
-def remainder_eval(system, n, i, z, n_nodes=None):
-    return system.remainder(n, i, z, n_nodes=n_nodes)
-
-
-def linear_form_eval(system, n, z, n_nodes=None):
-    return system.linear_form(n, z, n_nodes=n_nodes)
 
 
 def decay_slope(values, zs, ctx):

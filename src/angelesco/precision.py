@@ -381,7 +381,7 @@ def find_root(f, lo, hi, ctx, tol=None):
 
 
 # ---------------------------------------------------------------------------
-# Real roots with multiplicity flags (Sturm isolation)
+# Real root counts (Sturm sequences)
 # ---------------------------------------------------------------------------
 
 def _sturm_chain(p, zero_eps):
@@ -406,79 +406,26 @@ def _sign_variations(chain, x, zero_eps):
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-def real_roots_in(p, interval, ctx):
-    """Sorted real roots of p in [a, b] with multiplicity flags.
+def real_root_count(p, interval, ctx):
+    """Number of distinct real roots of p in [a, b], by a Sturm sequence.
 
-    Returns a list of (root, multiplicity) pairs, multiplicity 1 or 2. Double
-    roots are declared when p and p' share a refined root within sqrt of the
-    solve tolerance. Intended for modest degrees (curve quartics, weight
-    positivity polynomials), not for high-degree orthogonal polynomials.
+    The sequence runs on the square-free part of p (p over its gcd with p'),
+    and an endpoint where p vanishes to rounding counts as a root. Intended
+    for modest degrees (weight positivity polynomials).
     """
     with ctx.workprec():
         if not p:
             raise ValueError("zero polynomial")
         a, b = mp.mpf(interval[0]), mp.mpf(interval[1])
         zero_eps = ctx.solve_tolerance
-        # peel off the gcd with p' so isolation runs on a square-free poly
-        chain = _sturm_chain(p, zero_eps)
-        gcd = chain[-1]
-        if gcd.degree >= 1:
-            psf, _ = poly_divmod(p, gcd)
-        else:
-            psf = p
+        gcd = _sturm_chain(p, zero_eps)[-1]
+        psf = poly_divmod(p, gcd)[0] if gcd.degree >= 1 else p
         chain = _sturm_chain(psf, zero_eps)
-
-        def count(lo, hi):
-            return _sign_variations(chain, lo, zero_eps) - _sign_variations(chain, hi, zero_eps)
-
-        # nudge endpoints that are themselves roots
-        width = max(b - a, mp.mpf(1))
-        pad = width * ctx.solve_tolerance
-        roots = []
-        for e in (a, b):
-            if abs(psf(e)) <= zero_eps * max(mp.mpf(1), psf.max_abs_coeff()) * (1 + abs(e)) ** psf.degree:
-                roots.append(e)
+        floor = zero_eps * max(mp.mpf(1), psf.max_abs_coeff())
+        count = sum(1 for e in (a, b) if abs(psf(e)) <= floor * (1 + abs(e)) ** psf.degree)
+        # the interior count starts just inside, off the endpoint roots
+        pad = max(b - a, mp.mpf(1)) * ctx.solve_tolerance
         lo, hi = a + pad, b - pad
-        if lo < hi and count(lo, hi) > 0:
-            stack = [(lo, hi, count(lo, hi))]
-            while stack:
-                x0, x1, k = stack.pop()
-                if k == 0:
-                    continue
-                if k == 1:
-                    f0, f1 = psf(x0), psf(x1)
-                    if mp.sign(f0) != mp.sign(f1) and f0 != 0 and f1 != 0:
-                        roots.append(find_root(psf, x0, x1, ctx))
-                    else:
-                        # rare: root of even local behavior; refine by midpoint counts
-                        for _ in range(ctx.mantissa_bits):
-                            xm = (x0 + x1) / 2
-                            if x1 - x0 <= pad:
-                                break
-                            if count(x0, xm) >= 1:
-                                x1 = xm
-                            else:
-                                x0 = xm
-                        roots.append((x0 + x1) / 2)
-                    continue
-                xm = (x0 + x1) / 2
-                kl = count(x0, xm)
-                stack.append((x0, xm, kl))
-                stack.append((xm, x1, k - kl))
-        roots.sort()
-        # merge near-identical roots (can appear from endpoint handling)
-        merged = []
-        for r in roots:
-            if merged and abs(r - merged[-1]) <= pad * 4:
-                continue
-            merged.append(r)
-        dp = p.deriv()
-        out = []
-        tol_double = mp.sqrt(ctx.solve_tolerance)
-        for r in merged:
-            mult = 1
-            if gcd.degree >= 1 or abs(dp(r)) <= tol_double * max(mp.mpf(1), dp.max_abs_coeff()):
-                if abs(dp(r)) <= tol_double * max(mp.mpf(1), dp.max_abs_coeff()):
-                    mult = 2
-            out.append((r, mult))
-        return out
+        if lo < hi:
+            count += _sign_variations(chain, lo, zero_eps) - _sign_variations(chain, hi, zero_eps)
+        return count

@@ -1,4 +1,5 @@
 import sys
+import time
 
 import mpmath as mp
 import pytest
@@ -122,9 +123,9 @@ def test_full_map_solved_once_per_geometry_and_bits(monkeypatch):
     bits_seen = []
     real_chi_solve = module.chi_solve
 
-    def counting(branch_points, ctx, seed=None):
+    def counting(branch_points, ctx):
         bits_seen.append(ctx.mantissa_bits)
-        return real_chi_solve(branch_points, ctx, seed)
+        return real_chi_solve(branch_points, ctx)
 
     monkeypatch.setattr(module, "chi_solve", counting)
     monkeypatch.setattr(module, "_FULL_MAP_CACHE", {})
@@ -591,6 +592,73 @@ def test_asymmetric_geometry_regimes():
     _, beta = dc_oracle(g, th.c_star / 2, CTX)
     with CTX.workprec():
         assert abs(beta - cd.beta_c1) < mp.mpf(10) ** (-(CTX.mantissa_bits // 4))
+
+
+# ---------------------------------------------------------------------------
+# Pushed-regime solve: one Newton with the analytic mass row
+# ---------------------------------------------------------------------------
+
+def _pushed_gap(g, frac, bits, ref_bits):
+    """Largest gap of (A1, A2, B1, B2, beta) at c = frac c* from a ref_bits solve,
+    relative to max(1, |x|) and in units of 2^(20 - bits)."""
+    ctx, ref = PrecisionContext(bits), PrecisionContext(ref_bits)
+    with ctx.workprec():
+        c = critical_thresholds(g, ctx).c_star * mp.mpf(frac)
+    cd, cd_ref = curve(g, c, ctx, with_dc=False), curve(g, c, ref, with_dc=False)
+    assert cd.regime == cd_ref.regime == PUSHED_LEFT
+    with ref.workprec():
+        pairs = zip(cd.params() + (cd.beta_c1,), cd_ref.params() + (cd_ref.beta_c1,))
+        return max(abs(u - v) / max(1, abs(v)) for u, v in pairs) / mp.mpf(2) ** (20 - bits)
+
+
+@pytest.mark.parametrize("geo", [("-1.1", "-1", "1", "5"), ("-3", "-2.9", "-2.8", "4"),
+                                 ("-1.01", "-1", "1", "100")])
+def test_pushed_solve_at_tiny_c_matches_512_bits(geo):
+    # A1 is of order c^2 here: only an exact mass row takes Newton to the
+    # rounding floor at 128 bits
+    assert _pushed_gap(Geometry(*geo), "1e-6", 128, 512) <= 1
+
+
+def test_pushed_solve_near_marginal_direction_is_direct():
+    # c* = 0.753: one Newton from the full-geometry map, far from c*
+    g = Geometry("-100", "-1", "1", "1.01")
+    ctx = PrecisionContext(128)
+    start = time.perf_counter()
+    cd = curve(g, "0.45", ctx, with_dc=False)
+    assert time.perf_counter() - start < 2
+    with ctx.workprec():
+        assert abs(cd.beta_c1 - mp.mpf("-13.5272299886859325499887599418")) < mp.mpf("1e-27")
+
+
+def test_curve_dc_cross_check_through_oracle_continuation(monkeypatch):
+    # a direct dc_oracle solve fails here; its c-ladder reaches the node
+    # structure, and curve() holds the pushed beta against it
+    module = sys.modules["angelesco.curve"]
+    newton_calls = []
+    real_newton = module._newton
+
+    def counting(F, x0, ctx, **kwargs):
+        newton_calls.append(len(x0))
+        return real_newton(F, x0, ctx, **kwargs)
+
+    monkeypatch.setattr(module, "_newton", counting)
+    g = Geometry("-100", "-1", "1", "1.01")
+    ctx = PrecisionContext(128)
+    cd = curve(g, "0.48", ctx)
+    assert cd.regime == PUSHED_LEFT
+    assert newton_calls.count(5) == 1 and newton_calls.count(3) > 1
+    with ctx.workprec():
+        assert abs(cd.beta_c1 - mp.mpf("-11.4638428104926560195070113815")) < mp.mpf("1e-27")
+
+
+@settings(max_examples=20, deadline=None)
+@given(bits=st.sampled_from([128, 192]),
+       log_l1=st.floats(-2, 2), log_l2=st.floats(-2, 2), log_gap=st.floats(-1.5, 0.7),
+       frac=st.sampled_from(["1e-5", "0.2", "0.25", "0.3", "0.6", "0.95"]))
+def test_pushed_solve_matches_twice_the_bits(bits, log_l1, log_l2, log_gap, frac):
+    a2 = -1 + 10 ** log_gap
+    g = Geometry(f"{-1 - 10 ** log_l1:.4f}", "-1", f"{a2:.4f}", f"{a2 + 10 ** log_l2:.4f}")
+    assert _pushed_gap(g, frac, bits, 2 * bits) <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -223,21 +223,6 @@ def test_solution_json(g0):
     assert doc["a1_poly"] is not None
 
 
-def test_functional_wrappers(g0):
-    from angelesco.mops import linear_form_eval, nnrr_table, recurrence_residual, remainder_eval, zeros
-
-    table = nnrr_table(reference_geometry(), lebesgue_weights(), 1, CTX)
-    with CTX.workprec():
-        for u, v in zip(table.get((1, 1)), g0.nnrr((1, 1))):
-            assert abs(u - v) < mp.mpf("1e-100")
-        assert recurrence_residual(g0, (1, 1), 2) < mp.mpf("1e-100")
-        assert len(zeros(g0, (2, 1))[0]) == 2
-        r = remainder_eval(g0, (1, 1), 2, mp.mpf(10))
-        assert abs(r) > 0
-        lf = linear_form_eval(g0, (1, 1), mp.mpf(10))
-        assert abs(lf) > 0
-
-
 def test_perfectness_sweep_reference_and_asymmetric():
     # residuals stay far below tolerance across a grid of indices, for the
     # reference geometry and for an asymmetric exp-poly/poly pair

@@ -12,7 +12,7 @@ from angelesco.precision import (
     find_root,
     gauss_legendre,
     poly_divmod,
-    real_roots_in,
+    real_root_count,
     solve_dense,
     sym_eig,
 )
@@ -263,18 +263,19 @@ def test_poly_divmod_roundtrip():
 def test_real_roots_with_multiplicity():
     with CTX.workprec():
         p = Poly([1, 1]) * Poly([-1, 1]) * Poly([-1, 1])  # (x+1)(x-1)^2
-    roots = real_roots_in(p, (-2, 2), CTX)
-    assert len(roots) == 2
-    (r1, m1), (r2, m2) = roots
-    assert abs(r1 + 1) < CTX.solve_tolerance * 8 and m1 == 1
-    assert abs(r2 - 1) < mp.mpf("1e-30") and m2 == 2
+    # distinct roots: the double root counts once
+    assert real_root_count(p, (-2, 2), CTX) == 2
+    assert real_root_count(p, (0, 2), CTX) == 1
+    assert real_root_count(p, (-2, 0), CTX) == 1
 
 
 def test_real_roots_none_and_windowed():
-    assert real_roots_in(Poly([1, 0, 1]), (-10, 10), CTX) == []
-    roots = real_roots_in(Poly([0, -1, 0, 1]), ("0.5", 2), CTX)  # x^3 - x
-    assert len(roots) == 1
-    assert abs(roots[0][0] - 1) < mp.mpf("1e-40") and roots[0][1] == 1
+    assert real_root_count(Poly([1, 0, 1]), (-10, 10), CTX) == 0
+    x3_minus_x = Poly([0, -1, 0, 1])
+    assert real_root_count(x3_minus_x, ("0.5", 2), CTX) == 1
+    assert real_root_count(x3_minus_x, ("1.5", 2), CTX) == 0
+    # a root at an endpoint counts
+    assert real_root_count(x3_minus_x, (1, 2), CTX) == 1
 
 
 def test_precision_monotonicity_on_fixed_corpus():
