@@ -4,7 +4,7 @@ All numeric output renders decimals as strings at fixed digits so identical
 configurations produce byte-identical files. Recurrence tables and their
 errors CSV are cached under ANGELESCO_CACHE_DIR (unset disables caching),
 keyed by geometry, weights, precision, and table size; cache hits are
-spot-checked against a fresh solve at one index.
+spot-checked against a fresh sweep at one index.
 """
 
 import argparse
@@ -115,7 +115,7 @@ def _nnrr_table_cached(system, n_max):
         with open(path) as f:
             table_text, header, rows = f.read().partition(ERRORS_HEADER)
         table = NnrrTable.from_csv(table_text)
-        # spot-check one index against a fresh solve
+        # spot-check one index against a fresh sweep
         with system.ctx.workprec():
             fresh = system.nnrr((1, 1))
             cached = table.get((1, 1))

@@ -1,8 +1,9 @@
 """Multiple orthogonal polynomials for a two-interval system.
 
-Moments, type I/II polynomials, nearest-neighbor recurrence coefficients with
-a dual-route cross-check on the b's, zero localization, and the two remainder
-functions whose large-z decay exponents certify the orthogonality counts.
+Moments, type I/II polynomials from dense moment solves, zero localization,
+the two remainder functions whose large-z decay exponents certify the
+orthogonality counts, and the nearest-neighbor recurrence coefficients from
+an O(L^2) sweep of the compatibility relations, certified by orthogonality.
 """
 
 import json
@@ -45,8 +46,8 @@ class Geometry:
         return (self.alpha1, self.beta1, self.alpha2, self.beta2)
 
     def mirrored(self):
-        """Image under x -> -x, which swaps the two intervals."""
-        return Geometry(-self.beta2, -self.alpha2, -self.beta1, -self.alpha1)
+        """Image under x -> -x, which swaps the two intervals; exact at any precision."""
+        return Geometry(*(mp.fneg(v, exact=True) for v in reversed(self.as_tuple())))
 
 
 def reference_geometry():
@@ -113,6 +114,11 @@ class MultiIndex:
     def __post_init__(self):
         if self.n1 < 0 or self.n2 < 0:
             raise ValueError("multi-index entries must be nonnegative")
+
+    @classmethod
+    def of(cls, n):
+        """n itself, or the MultiIndex of an (n1, n2) pair."""
+        return n if isinstance(n, cls) else cls(*n)
 
     @property
     def norm(self):
@@ -191,6 +197,108 @@ def moments(weight, geometry, k_max, ctx):
         return out
 
 
+def jacobi_marginal(weight, geometry, level, ctx):
+    """(xs, lams, alphas, betas): the m-point Gauss-Legendre discretisation
+    of the measure and its monic Jacobi coefficients, x p_k = p_{k+1} +
+    alphas[k] p_k + betas[k] p_{k-1} for k <= level (betas[0] = 0), by
+    Stieltjes' procedure (Gautschi 2004) on t in [-1, 1], where a symmetric
+    density gives alpha_k = 0 exactly. m = level + deg/2 + 2 for 'const' and
+    'poly' weights is exact for the sweep and its certificate; 'exppoly'
+    takes 64 + 2*(level + deg), as in `moments`."""
+    with ctx.workprec():
+        deg = weight.poly_degree()
+        m = 64 + 2 * (level + deg) if weight.kind == "exppoly" else level + deg // 2 + 2
+        ts, gl_weights = gauss_legendre(m, ctx)
+        a, b = geometry.interval(weight.interval)
+        half, mid = (b - a) / 2, (b + a) / 2
+        xs = [mid + half * t for t in ts]
+        lams = [half * w * weight.density(x) for w, x in zip(gl_weights, xs)]
+        alphas, betas = [], []
+        p, p_prev, norm_prev = [mp.mpf(1)] * m, [mp.mpf(0)] * m, None
+        for k in range(level + 1):
+            sq = [lam * v * v for lam, v in zip(lams, p)]
+            norm = mp.fsum(sq)
+            alpha = mp.fsum(s * t for s, t in zip(sq, ts)) / norm
+            beta = norm / norm_prev if k else mp.mpf(0)
+            alphas.append(mid + half * alpha)
+            betas.append(half * half * beta)
+            p, p_prev = [(t - alpha) * v - beta * u for t, v, u in zip(ts, p, p_prev)], p
+            norm_prev = norm
+        return xs, lams, alphas, betas
+
+
+def _nnrr_sweep(marginals, level, floor):
+    """{(n1, n2): (a1, a2, b1, b2)} for every |n| <= level.
+
+    The marginal lines are each measure's Jacobi coefficients. The other a's
+    on level s come from the ratio relation (Van Assche 2011) a_{n+e_j,i} =
+    a_{n,i} (b_{n,j} - b_{n,i}) / (b_{n-e_i,j} - b_{n-e_i,i}); with D =
+    b_{n,1} - b_{n,2} and S = sum_k (a_{n+e2,k} - a_{n+e1,k}) at each n on
+    level s-1, b_{n+e2,1} = b_{n,1} - S/D and b_{n+e1,2} = b_{n,2} - S/D.
+    |D| below `floor` raises NormalityFailure."""
+    (_, _, al1, be1), (_, _, al2, be2) = marginals
+    zero = mp.mpf(0)
+    out = {(0, 0): (zero, zero, al1[0], al2[0])}
+    for s in range(1, level + 1):
+        a = {(s, 0): (be1[s], zero), (0, s): (zero, be2[s])}
+        for n1 in range(1, s):
+            n2 = s - n1
+            p, q, r = out[(n1, n2 - 1)], out[(n1 - 1, n2 - 1)], out[(n1 - 1, n2)]
+            d = q[2] - q[3]
+            a[(n1, n2)] = (p[0] * (p[2] - p[3]) / d, r[1] * (r[2] - r[3]) / d)
+        b1, b2 = {(s, 0): al1[s]}, {(0, s): al2[s]}
+        for n1 in range(s):
+            n2 = s - 1 - n1
+            _, _, c1, c2 = out[(n1, n2)]
+            if abs(c1 - c2) < floor:
+                raise NormalityFailure(f"b_(n,1) - b_(n,2) vanishes at {(n1, n2)}")
+            u, v = a[(n1, n2 + 1)], a[(n1 + 1, n2)]
+            t = (u[0] + u[1] - v[0] - v[1]) / (c1 - c2)
+            b1[(n1, n2 + 1)], b2[(n1 + 1, n2)] = c1 - t, c2 - t
+        for key, (x, y) in a.items():
+            out[key] = (x, y, b1[key], b2[key])
+    return out
+
+
+def _walk(entries, n, zs, first=1):
+    """P_n at each z by the recurrence along the path taking its e_first
+    steps first (on interval `first` the stable marginal recurrence; the
+    other steps add zeros far from it). The state is P_m, P_{m-e1}, P_{m-e2};
+    after m -> m + e_j, P_{m+e_j-e_i} = P_m - (b_{m-e_i,j} - b_{m-e_i,i})
+    P_{m-e_i}, the difference of the two recurrences at m - e_i."""
+    f = first - 1
+    m, p, down = [0, 0], [mp.mpf(1)] * len(zs), [None, None]
+    for j in [f] * n.component(first) + [1 - f] * (n.norm - n.component(first)):
+        i = 1 - j
+        row = entries[tuple(m)]
+        new = [(z - row[2 + j]) * v for z, v in zip(zs, p)]
+        for k in (0, 1):
+            if m[k]:
+                new = [w - row[k] * v for w, v in zip(new, down[k])]
+        if m[i]:
+            q = entries[(m[0] - (i == 0), m[1] - (i == 1))]
+            c = q[2 + j] - q[2 + i]
+            down[i] = [v - c * u for v, u in zip(p, down[i])]
+        down[j], p = p, new
+        m[j] += 1
+    return p
+
+
+def _certify(entries, n, marginals, tol):
+    """Orthogonality residuals of the walked P_n, relative to sum lam |P_n| |x|^k, held to tol."""
+    for i, (xs, lams, _, _) in zip((1, 2), marginals):
+        if not n.component(i):
+            continue
+        terms = [lam * v for lam, v in zip(lams, _walk(entries, n, xs, first=i))]
+        for _ in range(n.component(i)):
+            resid = abs(mp.fsum(terms)) / mp.fsum(abs(v) for v in terms)
+            if resid > tol:
+                raise InternalInconsistency(
+                    f"sweep orthogonality residual {mp.nstr(resid, 5)} at {n.as_pair()} "
+                    f"against measure {i}; raise mantissa_bits")
+            terms = [v * x for v, x in zip(terms, xs)]
+
+
 def _hankel_pivot_tol(rows, ctx):
     # moment-system pivots decay geometrically with the index (capacity to
     # the power of the degree), so flag singularity only at roundoff level
@@ -209,8 +317,7 @@ def type2_mop(n, mom_pair, ctx):
     Solves the |n| x |n| moment system in the lower coefficients and verifies
     the orthogonality residuals a posteriori.
     """
-    if isinstance(n, tuple):
-        n = MultiIndex(*n)
+    n = MultiIndex.of(n)
     with ctx.workprec():
         N = n.norm
         if N == 0:
@@ -246,8 +353,7 @@ def type1_mop(n, mom_pair, ctx):
 
     Returns (a1_poly or None, a2_poly or None, residual).
     """
-    if isinstance(n, tuple):
-        n = MultiIndex(*n)
+    n = MultiIndex.of(n)
     if n.norm < 1:
         raise ValueError("type I requires |n| >= 1")
     with ctx.workprec():
@@ -279,7 +385,7 @@ def type1_mop(n, mom_pair, ctx):
 
 
 class AngelescoSystem:
-    """Cached moments and polynomial solutions for one (geometry, weights) pair."""
+    """Cached moments, solutions and recurrence sweep for one (geometry, weights) pair."""
 
     def __init__(self, geometry, weights=None, ctx=None):
         self.ctx = ctx or PrecisionContext()
@@ -291,7 +397,7 @@ class AngelescoSystem:
             w.validate(geometry, self.ctx)
         self._moments = [[], []]
         self._solutions = {}
-        self._nnrr = {}
+        self._sweep = (-1, None)
 
     # -- moments -----------------------------------------------------------
 
@@ -310,23 +416,10 @@ class AngelescoSystem:
         need = n.norm + max(n.n1, n.n2) + 1
         return (self.moment_vector(1, need), self.moment_vector(2, need))
 
-    def _form_moment(self, sol, order):
-        """Moment of the type I form of sol at the given order."""
-        if sol.index.norm == 0:
-            return mp.mpf(0)
-        total = mp.mpf(0)
-        for i in (1, 2):
-            a = sol.a_poly(i)
-            if a:
-                mom = self.moment_vector(i, order + a.degree)
-                total += mp.fsum(c * mom[k + order] for k, c in enumerate(a.coeffs))
-        return total
-
     # -- solutions -----------------------------------------------------------
 
     def solution(self, n):
-        if isinstance(n, tuple):
-            n = MultiIndex(*n)
+        n = MultiIndex.of(n)
         hit = self._solutions.get(n.as_pair())
         if hit is not None:
             return hit
@@ -349,53 +442,43 @@ class AngelescoSystem:
 
     # -- recurrence coefficients ----------------------------------------------
 
+    def _swept(self, n):
+        """Entries to level |n| at least; a new sweep, to exactly |n|, is certified at n."""
+        level, entries = self._sweep
+        if level < n.norm:
+            ctx = self.ctx
+            with ctx.workprec():
+                marginals = [jacobi_marginal(w, self.geometry, n.norm, ctx) for w in self.weights]
+                scale = max(1, *map(abs, self.geometry.as_tuple()))
+                entries = _nnrr_sweep(marginals, n.norm, mp.mpf(2) ** (16 - ctx.mantissa_bits) * scale)
+                _certify(entries, n, marginals, ctx.solve_tolerance)
+            self._sweep = (n.norm, entries)
+        return entries
+
     def nnrr(self, n):
-        """(a1, a2, b1, b2) at one index, with the dual-route b cross-check."""
-        if isinstance(n, tuple):
-            n = MultiIndex(*n)
-        hit = self._nnrr.get(n.as_pair())
-        if hit is not None:
-            return hit
-        with self.ctx.workprec():
-            sol = self.solution(n)
-            a = []
-            for j in (1, 2):
-                if n.component(j) == 0:
-                    a.append(mp.mpf(0))  # h-ratio undefined; recurrence term absent
-                else:
-                    prev = self.solution(n.minus(j))
-                    a.append(sol.h(j) / prev.h(j))
-            b = []
-            scale = _orthogonality_scale(self._mom_pair(n.plus(1)), n.norm + max(n.n1, n.n2) + 1)
-            for j in (1, 2):
-                up = self.solution(n.plus(j))
-                b_coeff = sol.p_monic.coeff(n.norm - 1) - up.p_monic.coeff(n.norm)
-                b_form = self._form_moment(up, n.norm + 1) - self._form_moment(sol, n.norm)
-                if abs(b_coeff - b_form) > self.ctx.solve_tolerance * scale:
-                    raise InternalInconsistency(
-                        f"b cross-check failed at {n.as_pair()}, j={j}: "
-                        f"{mp.nstr(abs(b_coeff - b_form), 5)}; raise mantissa_bits")
-                b.append(b_coeff)
-            out = (a[0], a[1], b[0], b[1])
-        self._nnrr[n.as_pair()] = out
-        return out
+        """(a1, a2, b1, b2) at one index, read from the certified sweep."""
+        n = MultiIndex.of(n)
+        return self._swept(n)[n.as_pair()]
 
     def table(self, n_max):
-        """NnrrTable over all n with n1, n2 <= n_max."""
+        """NnrrTable over n1, n2 <= n_max from one sweep, certified at (n_max, n_max)."""
         if n_max < 1:
             raise ValueError("n_max must be >= 1")
-        entries = {}
-        for n1 in range(n_max + 1):
-            for n2 in range(n_max + 1):
-                entries[(n1, n2)] = self.nnrr(MultiIndex(n1, n2))
-        return NnrrTable(entries, n_max)
+        entries = self._swept(MultiIndex(n_max, n_max))
+        return NnrrTable({k: v for k, v in entries.items() if max(k) <= n_max}, n_max)
+
+    def p_value(self, n, z):
+        """P_n(z), walked along the recurrence from the sweep."""
+        n = MultiIndex.of(n)
+        with self.ctx.workprec():
+            return _walk(self._swept(n), n, [mp.mpc(z)])[0]
 
     # -- derived checks --------------------------------------------------------
 
     def recurrence_residual(self, n, j):
-        """Max |coefficient| of z P_n - P_{n+e_j} - b_{n,j} P_n - sum_i a_{n,i} P_{n-e_i}."""
-        if isinstance(n, tuple):
-            n = MultiIndex(*n)
+        """Max |coefficient| of z P_n - P_{n+e_j} - b_{n,j} P_n - sum_i a_{n,i} P_{n-e_i}:
+        the sweep's coefficients against the dense solutions' polynomials."""
+        n = MultiIndex.of(n)
         with self.ctx.workprec():
             a1, a2, b1, b2 = self.nnrr(n)
             b = b1 if j == 1 else b2
@@ -409,8 +492,7 @@ class AngelescoSystem:
 
     def zeros(self, n):
         """Zeros of P_n, exactly n_i of them inside interval i, each refined."""
-        if isinstance(n, tuple):
-            n = MultiIndex(*n)
+        n = MultiIndex.of(n)
         sol = self.solution(n)
         with self.ctx.workprec():
             out = []
@@ -426,16 +508,14 @@ class AngelescoSystem:
 
     def remainder(self, n, i, z, n_nodes=None):
         """R_n^(i)(z) = integral of P_n(x)/(z - x) against measure i."""
-        if isinstance(n, tuple):
-            n = MultiIndex(*n)
+        n = MultiIndex.of(n)
         sol = self.solution(n)
         return _cauchy_weighted(sol.p_monic, self.weights[i - 1], self.geometry, z,
                                 self.ctx, n_nodes)
 
     def linear_form(self, n, z, n_nodes=None):
         """L_n(z) = integral of the type I form against 1/(z - x)."""
-        if isinstance(n, tuple):
-            n = MultiIndex(*n)
+        n = MultiIndex.of(n)
         sol = self.solution(n)
         with self.ctx.workprec():
             total = mp.mpc(0)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .errors import DomainError
-from .precision import gauss_legendre
+from .mops import MultiIndex
 from .szego_maps import phi_map as _phi_ab
 from .szego_maps import w_map as _w_ab
 
@@ -63,12 +63,12 @@ def szego_rho(geometry, i, z, weight, ctx, n_theta=256, side=0):
         near = abs(zc.imag) < (b - a) * mp.mpf("1e-3") and a < zc.real < b
         if on_axis and a <= zc.real <= b and side == 0:
             raise DomainError("on-cut evaluation needs a side flag")
-        nodes, gl_w = gauss_legendre(n_theta, ctx)
-        thetas = [(t + 1) * mp.pi / 2 for t in nodes]
-        xs = [mid + half * mp.cos(th) for th in thetas]
+        # midpoint rule in theta (Gauss-Chebyshev in x): the integrands are
+        # smooth, even and 2 pi-periodic in theta, so it is spectrally accurate
+        h = mp.pi / n_theta
+        xs = [mid + half * mp.cos((k + mp.mpf(1) / 2) * h) for k in range(n_theta)]
         fs = [_log_density(weight, x) + mp.log(half) for x in xs]
-        s_inf = mp.exp(-(mp.pi / 2 * mp.fsum(w * f for w, f in zip(gl_w, fs))
-                         - mp.pi * mp.log(2)) / (2 * mp.pi))
+        s_inf = mp.exp(-(h * mp.fsum(fs) - mp.pi * mp.log(2)) / (2 * mp.pi))
         if near or (on_axis and a < zc.real < b):
             x0 = zc.real
             use_side = side if side else (1 if zc.imag > 0 else -1)
@@ -76,14 +76,13 @@ def szego_rho(geometry, i, z, weight, ctx, n_theta=256, side=0):
             f0 = _log_density(weight, x0) + mp.log(half)
             # PV of the bare kernel over theta vanishes, so subtract f(th0);
             # the pole crosses below the contour, hence the minus half-residue
-            pv = mp.fsum(w * (f - f0) / (x0 - x)
-                         for w, f, x in zip(gl_w, fs, xs)) * mp.pi / 2
+            pv = mp.fsum((f - f0) / (x0 - x) for f, x in zip(fs, xs)) * h
             J = pv - mp.mpc(0, use_side) * mp.pi * f0 / (half * mp.sin(th0))
             wv = _w_ab(x0, a, b, side=use_side)
             phv = _phi_ab(x0, a, b, side=use_side)
             I = -(mp.pi / wv) * mp.log(2 * phv / wv)
             return SzegoEval(i, mp.exp(-(wv / (2 * mp.pi)) * (J + I)), s_inf)
-        J = mp.fsum(w * f / (zc - x) for w, f, x in zip(gl_w, fs, xs)) * mp.pi / 2
+        J = mp.fsum(f / (zc - x) for f, x in zip(fs, xs)) * h
         wv = _w_ab(zc, a, b)
         phv = _phi_ab(zc, a, b)
         I = -(mp.pi / wv) * mp.log(2 * phv / wv)
@@ -137,19 +136,20 @@ def marginal_predict(n, z, weight2, geometry, ctx, n_theta=256):
 
 
 def ratio_report(system, n_list, z, n_theta=256):
-    """|P_n(z)/prediction| rows for a list of multi-indices."""
+    """|P_n(z)/prediction| rows for a list of multi-indices, with P_n(z)
+    walked along the recurrence (``AngelescoSystem.p_value``)."""
     rows = []
     ctx = system.ctx
     with ctx.workprec():
         zc = mp.mpc(z)
         for n in n_list:
-            sol = system.solution(n)
-            pred = marginal_predict(sol.index, zc, system.weights[1],
+            n = MultiIndex.of(n)
+            pred = marginal_predict(n, zc, system.weights[1],
                                     system.geometry, ctx, n_theta=n_theta)
-            ratio = sol.p_monic(zc) / pred
+            ratio = system.p_value(n, zc) / pred
             rows.append({
-                "n1": sol.index.n1,
-                "n2": sol.index.n2,
+                "n1": n.n1,
+                "n2": n.n2,
                 "z_re": zc.real,
                 "z_im": zc.imag,
                 "ratio_re": ratio.real,

@@ -180,3 +180,20 @@ def test_verify_limits_small(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["detail"]["all_streams_decreasing"] is True
+
+
+def test_nnrr_writes_exact_marginal_b_at_192_bits(tmp_path, capsys):
+    # the exact value; dense moment solves give -2.95000000000000000000522873882
+    out = tmp_path / "t.csv"
+    code, _, _ = run_cli(["nnrr", "--geom=-3,-2.9,-2.8,4", "--nmax", "8", "--bits", "192",
+                          "--out", str(out)], capsys)
+    assert code == 0
+    rows = {tuple(ln.split(",")[:2]): ln.split(",")[2:] for ln in out.read_text().splitlines()[1:]}
+    assert rows[("8", "0")][2] == "-2.95"
+
+
+def test_nnrr_thin_wide_geometry_runs(tmp_path, capsys):
+    # dense moment solves find the type I system at (5, 8) singular here
+    code, _, err = run_cli(["nnrr", "--geom=-1.01,-1,1,100", "--nmax", "8", "--bits", "192",
+                            "--out", str(tmp_path / "t.csv")], capsys)
+    assert code == 0, err
