@@ -7,7 +7,8 @@ an O(L^2) sweep of the compatibility relations, certified by orthogonality.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import mpmath as mp
 
@@ -152,15 +153,28 @@ class MultiIndex:
 
 @dataclass(frozen=True)
 class MopSolution:
-    """Monic type II polynomial with its type I partner at one multi-index."""
+    """Monic type II polynomial at one multi-index. Its type I partner is solved
+    from the same moments on first use, so P_n stays available where only the
+    type I system is singular."""
 
     index: MultiIndex
     p_monic: Poly
-    a1_poly: Poly  # None when n1 = 0
-    a2_poly: Poly  # None when n2 = 0
     h1: mp.mpf
     h2: mp.mpf
-    residual: mp.mpf
+    p_residual: mp.mpf
+    mom_pair: tuple = field(repr=False, compare=False)
+    ctx: PrecisionContext = field(repr=False, compare=False)
+
+    @cached_property
+    def type1(self):
+        """(A^(1) or None, A^(2) or None, residual): ``type1_mop`` on the same moments."""
+        if self.index.norm == 0:
+            return None, None, mp.mpf(0)
+        return type1_mop(self.index, self.mom_pair, self.ctx)
+
+    a1_poly = property(lambda self: self.type1[0])
+    a2_poly = property(lambda self: self.type1[1])
+    residual = property(lambda self: max(self.type1[2], self.p_residual))
 
     def h(self, i):
         return self.h1 if i == 1 else self.h2
@@ -427,16 +441,15 @@ class AngelescoSystem:
             if n.norm == 0:
                 m1 = self.moment(1, 0)
                 m2 = self.moment(2, 0)
-                sol = MopSolution(n, Poly([1]), None, None, m1, m2, mp.mpf(0))
+                sol = MopSolution(n, Poly([1]), m1, m2, mp.mpf(0), None, self.ctx)
             else:
                 pair = self._mom_pair(n)
                 p, r2 = type2_mop(n, pair, self.ctx)
-                a1, a2, r1 = type1_mop(n, pair, self.ctx)
                 hs = []
                 for i, mom in ((1, pair[0]), (2, pair[1])):
                     ni = n.component(i)
                     hs.append(mp.fsum(c * mom[k + ni] for k, c in enumerate(p.coeffs)))
-                sol = MopSolution(n, p, a1, a2, hs[0], hs[1], max(r1, r2))
+                sol = MopSolution(n, p, hs[0], hs[1], r2, pair, self.ctx)
         self._solutions[n.as_pair()] = sol
         return sol
 

@@ -15,8 +15,7 @@ import mpmath as mp
 
 from .errors import DomainError
 from .mops import MultiIndex
-from .szego_maps import phi_map as _phi_ab
-from .szego_maps import w_map as _w_ab
+from .szego_maps import phi_map, w_map
 
 
 @dataclass(frozen=True)
@@ -24,20 +23,6 @@ class SzegoEval:
     interval: int
     value: mp.mpc
     at_infinity: mp.mpc
-
-
-def w_map(geometry, i, z, ctx, side=0):
-    """w_i(z) = sqrt((z - alpha_i)(z - beta_i)), w_i(z)/z -> 1 at infinity."""
-    with ctx.workprec():
-        a, b = geometry.interval(i)
-        return _w_ab(z, a, b, side=side)
-
-
-def phi_map(geometry, i, z, ctx, side=0):
-    """Conformal map of the complement of interval i onto |w| > (b-a)/4."""
-    with ctx.workprec():
-        a, b = geometry.interval(i)
-        return _phi_ab(z, a, b, side=side)
 
 
 def _log_density(weight, x):
@@ -78,13 +63,13 @@ def szego_rho(geometry, i, z, weight, ctx, n_theta=256, side=0):
             # the pole crosses below the contour, hence the minus half-residue
             pv = mp.fsum((f - f0) / (x0 - x) for f, x in zip(fs, xs)) * h
             J = pv - mp.mpc(0, use_side) * mp.pi * f0 / (half * mp.sin(th0))
-            wv = _w_ab(x0, a, b, side=use_side)
-            phv = _phi_ab(x0, a, b, side=use_side)
+            wv = w_map(x0, a, b, side=use_side)
+            phv = phi_map(x0, a, b, side=use_side)
             I = -(mp.pi / wv) * mp.log(2 * phv / wv)
             return SzegoEval(i, mp.exp(-(wv / (2 * mp.pi)) * (J + I)), s_inf)
         J = mp.fsum(f / (zc - x) for f, x in zip(fs, xs)) * h
-        wv = _w_ab(zc, a, b)
-        phv = _phi_ab(zc, a, b)
+        wv = w_map(zc, a, b)
+        phv = phi_map(zc, a, b)
         I = -(mp.pi / wv) * mp.log(2 * phv / wv)
         val = mp.exp(-(wv / (2 * mp.pi)) * (J + I))
         return SzegoEval(i, val, s_inf)
@@ -105,8 +90,8 @@ def s_x0(geometry, z, x0, ctx, side=0):
         if zc.imag == 0 and a <= zc.real <= b and side == 0:
             raise DomainError("on-cut evaluation needs a side flag")
         A02 = ((b - a) / 4) ** 2
-        ph0 = _phi_ab(x0, a, b)
-        ph = _phi_ab(zc.real if zc.imag == 0 else zc, a, b, side=side)
+        ph0 = phi_map(x0, a, b)
+        ph = phi_map(zc.real if zc.imag == 0 else zc, a, b, side=side)
         expr = ((ph - ph0) / (ph0 * ph - A02)) * (ph0 * ph / (zc - x0))
         val = mp.sqrt(expr)
         # branch: the expression tends to 1 at infinity and stays off the
@@ -130,7 +115,7 @@ def marginal_predict(n, z, weight2, geometry, ctx, n_theta=256):
                               "and the collapsed first support")
         se = szego_rho(geometry, 2, z, weight2, ctx, n_theta=n_theta)
         sfac = s_x0(geometry, z, geometry.alpha1, ctx)
-        phi2 = _phi_ab(zc, a2, b2)
+        phi2 = phi_map(zc, a2, b2)
         return (se.value / se.at_infinity) * sfac ** n.n1 \
             * (zc - geometry.alpha1) ** n.n1 * phi2 ** n.n2
 

@@ -13,10 +13,12 @@ count the eigenvalues below x, and bisection on the count finds them all.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import comb
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
-from scipy import sparse
 
 from .errors import ConvergenceError, DomainError, ShapeError, SourceError
 from .precision import EIG_DIM_CAP, PrecisionContext
@@ -41,35 +43,16 @@ class TreeIndex:
     def n_vertices(self):
         return len(self.parent)
 
-    def children(self, v):
-        c1, c2 = 2 * v + 1, 2 * v + 2
-        out = []
-        if c1 < self.n_vertices:
-            out.append((c1, 1))
-        if c2 < self.n_vertices:
-            out.append((c2, 2))
-        return out
-
 
 def build_tree(depth):
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    n = 2 ** (depth + 1) - 1
-    parent = np.empty(n, dtype=np.int64)
-    proj = np.empty((n, 2), dtype=np.int64)
-    iota = np.empty(n, dtype=np.int64)
-    level = np.empty(n, dtype=np.int64)
-    parent[0], iota[0], level[0] = -1, 0, 0
-    proj[0] = (1, 1)
-    for v in range(1, n):
-        p = (v - 1) // 2
-        t = 1 if v % 2 == 1 else 2
-        parent[v] = p
-        iota[v] = t
-        level[v] = level[p] + 1
-        proj[v] = proj[p]
-        proj[v, t - 1] += 1
-    return TreeIndex(depth, parent, proj, iota, level)
+    v = np.arange(2 ** (depth + 1) - 1, dtype=np.int64)
+    level = np.repeat(np.arange(depth + 1, dtype=np.int64), 2 ** np.arange(depth + 1))
+    # below the leading bit of v + 1, each 1 bit is a step to a type-2 child
+    twos = np.bitwise_count(v + 1).astype(np.int64) - 1
+    iota = np.where(v > 0, 2 - v % 2, 0)
+    return TreeIndex(depth, (v - 1) // 2, np.column_stack([1 + level - twos, 1 + twos]), iota, level)
 
 
 # ---------------------------------------------------------------------------
@@ -157,18 +140,59 @@ class PerturbedSource:
 # Truncations
 # ---------------------------------------------------------------------------
 
-@dataclass
+def _csr(cols, vals):
+    """CSR of the square matrix with vals[r, j] at (r, cols[r, j]), j ascending; no zeros."""
+    keep = vals != 0
+    return SimpleNamespace(data=vals[keep], indices=cols[keep], shape=(len(vals),) * 2,
+                           indptr=np.concatenate([[0], np.cumsum(keep.sum(axis=1))]))
+
+
 class TreeTruncation:
-    matrix: sparse.csr_matrix
-    tag: str
-    depth: int
+    """Dirichlet truncation of a tree operator, vertices in heap order: from an
+    assembly's lattice table (``_table``), which the pivot classes are keyed on and
+    the matrix is built from on first access, or from a matrix (CSR arrays)."""
+
+    def __init__(self, matrix, tag, depth, table=None):
+        self.tag, self.depth, self.table = tag, depth, table
+        if table is None:
+            self.matrix = matrix
+        self.classes = _PivotClasses(matrix) if table is None else _PivotClasses.on_lattice(table)
+
+    @cached_property
+    def matrix(self):
+        tree = build_tree(self.depth)
+        v = np.arange(tree.n_vertices)
+        _, vals = _rows(self.table, tree.proj - 1, tree.iota)
+        return _csr(np.column_stack([tree.parent, v, 2 * v + 1, 2 * v + 2]), vals)
 
     @property
     def dim(self):
-        return self.matrix.shape[0]
+        return self.classes.n
 
     def dense(self):
-        return self.matrix.toarray()
+        m, out = self.matrix, np.zeros(self.matrix.shape)
+        out[np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices] = m.data
+        return out
+
+
+def _table(depth, root, a, b):
+    """Lattice table of an assembly: the root diagonal, then b(q, i) and sqrt(a(q, i))
+    at [q1 - 1, q2 - 1, i - 1] for each projection q above the leaves, zero elsewhere."""
+    B, A = np.zeros((2, depth + 1, depth + 1, 2))
+    for k1, k2 in ((k1, k2) for k1 in range(depth) for k2 in range(depth - k1)):
+        for i in (1, 2):
+            A[k1, k2, i - 1], B[k1, k2, i - 1] = a((1 + k1, 1 + k2), i), b((1 + k1, 1 + k2), i)
+    return root, B, np.sqrt(A)
+
+
+def _rows(table, p, t):
+    """Diagonals and rows (parent, self, type-1 child, type-2 child; 0 where absent) of
+    vertices of type t (0 at the root) at projection offsets p = projection - (1, 1)."""
+    root, b, w = table
+    q = p - np.eye(3, 2, -1, dtype=np.int64)[t]  # the parent's projection offsets
+    diag = np.where(t > 0, b[q[:, 0], q[:, 1], t - 1], root)
+    up = np.where(t > 0, w[q[:, 0], q[:, 1], t - 1], 0.0)
+    return diag, np.column_stack([up, diag, w[p[:, 0], p[:, 1]]])
 
 
 def assemble_J(tree, source, kappa=(0.0, 1.0)):
@@ -177,20 +201,11 @@ def assemble_J(tree, source, kappa=(0.0, 1.0)):
     Row of a non-root vertex: sqrt(a) to the parent at the parent's
     projection and the vertex type, the matching b on the diagonal, and
     sqrt(a) to each child at the vertex's own projection. The root diagonal
-    mixes the two b's just below (1,1) through kappa.
+    mixes the two b's just below (1,1) through kappa. The source is read once
+    per (projection, type) above the leaves.
     """
-    n = tree.n_vertices
-    M = sparse.lil_matrix((n, n))
-    b_lo = [source.b((0, 1), 1), source.b((1, 0), 2)]
-    M[0, 0] = kappa[0] * b_lo[0] + kappa[1] * b_lo[1]
-    for v in range(n):
-        pv = tuple(tree.proj[v])
-        for child, i in tree.children(v):
-            w = np.sqrt(source.a(pv, i))
-            M[v, child] = w
-            M[child, v] = w
-            M[child, child] = source.b(pv, i)
-    return TreeTruncation(M.tocsr(), "J", tree.depth)
+    root = kappa[0] * source.b((0, 1), 1) + kappa[1] * source.b((1, 0), 2)
+    return TreeTruncation(None, "J", tree.depth, _table(tree.depth, root, source.a, source.b))
 
 
 def assemble_L(tree, c, l, curve_data):
@@ -199,16 +214,8 @@ def assemble_L(tree, c, l, curve_data):
         raise ValueError("l must be 1 or 2")
     A = (float(curve_data.A1), float(curve_data.A2))
     B = (float(curve_data.B1), float(curve_data.B2))
-    n = tree.n_vertices
-    M = sparse.lil_matrix((n, n))
-    M[0, 0] = B[l - 1]
-    for v in range(n):
-        for child, i in tree.children(v):
-            w = np.sqrt(A[i - 1])
-            M[v, child] = w
-            M[child, v] = w
-            M[child, child] = B[i - 1]
-    return TreeTruncation(M.tocsr(), f"L({c},{l})", tree.depth)
+    table = _table(tree.depth, B[l - 1], lambda n, i: A[i - 1], lambda n, i: B[i - 1])
+    return TreeTruncation(None, f"L({c},{l})", tree.depth, table)
 
 
 _TINY_PIVOT = 1e-300  # stands in for an exactly zero pivot, as in LDL^T inertia counts
@@ -218,26 +225,31 @@ _COUNT_BLOCK = 1 << 20  # pivot-table entries per block of count points
 class _PivotClasses:
     """Vertices of a symmetric tree matrix grouped by their Schur pivot.
 
-    The matrix (CSR) must be in heap order: a vertex's only lower-index
-    neighbour is its parent. Eliminating M - x I from the highest index down
-    leaves at each vertex the pivot d_v(x) = M_vv - x - sum_c M_vc^2 / d_c(x)
-    over its children, so vertices with the same diagonal and the same
-    (weight^2, class) children share d_v at every x. Classes are keyed that
-    way bottom-up, with children in descending index order, which keeps each
-    class's arithmetic bit-identical to the per-vertex elimination. A model
-    operator at depth 10 has 21 classes for 2047 vertices; trees without
-    repeated structure keep one class per vertex.
+    In heap order a vertex's only lower-index neighbour is its parent.
+    Eliminating M - x I from the highest index down leaves at each vertex the
+    pivot d_v(x) = M_vv - x - sum_c M_vc^2 / d_c(x) over its children, so
+    vertices with the same diagonal and the same (weight^2, class) children
+    share d_v at every x. Classes are keyed that way bottom-up, with children
+    in descending index order, which keeps each class's arithmetic
+    bit-identical to the per-vertex elimination. A matrix (CSR arrays) is
+    keyed vertex by vertex; ``on_lattice`` gets the same classes from the
+    O(depth^2) nodes of an assembly's lattice. A model operator at depth 10
+    has 21 classes for 2047 vertices; trees without repeated structure keep
+    one class per vertex.
     """
 
     def __init__(self, matrix):
-        M = sparse.csr_matrix(matrix)
-        n = M.shape[0]
-        if M.shape[1] != n:
+        n = matrix.shape[0]
+        if matrix.shape[1] != n:
             raise ShapeError("matrix must be square")
-        if float(abs(M - M.T).max()) > 1e-12 * max(1.0, float(abs(M).max())):
+        rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+        order = np.lexsort((matrix.indices, rows))  # each row's columns ascending
+        rows, cols, vals = rows[order], matrix.indices[order].astype(np.int64), matrix.data[order]
+        # the entries of M - M^T, one per stored position of M or M^T
+        _, pos = np.unique(np.concatenate([rows * n + cols, cols * n + rows]), return_inverse=True)
+        skew = np.bincount(pos, weights=np.concatenate([vals, -vals]))
+        if np.abs(skew).max(initial=0.0) > 1e-12 * max(1.0, np.abs(vals).max(initial=0.0)):
             raise ShapeError("matrix is not symmetric within tolerance")
-        C = M.tocoo()
-        rows, cols, vals = C.row, C.col, C.data
         diag = np.zeros(n)
         on = rows == cols
         diag[rows[on]] = vals[on]
@@ -252,10 +264,34 @@ class _PivotClasses:
         keys, kids = {}, [[] for _ in range(n)]
         cls = np.empty(n, dtype=np.int64)
         for v in range(n - 1, -1, -1):
-            k = keys.setdefault((diag[v], tuple(kids[v])), len(keys))
-            cls[v] = k
+            k = cls[v] = keys.setdefault((diag[v], tuple(kids[v])), len(keys))
             if parent[v] >= 0:
                 kids[parent[v]].append((w2[v], k))
+        self._tabulate(keys, np.bincount(cls, minlength=len(keys)), diag, rows, vals)
+
+    @classmethod
+    def on_lattice(cls, table):
+        """Classes from a lattice table: a vertex of type t at projection p reads the
+        table at (p - e_t, t) and its children's at p, so its pivot depends on (p, t)
+        alone, and the C(|q| - 2, q1 - 1) root paths to q = p - e_t count its vertices."""
+        depth = len(table[1]) - 1
+        nodes = np.array([(q1 + (t == 1), level - 1 - q1 + (t == 2), t)
+                          for level in range(depth, 0, -1) for q1 in range(level)
+                          for t in (1, 2)] + [(0, 0, 0)], dtype=np.int64)
+        diag, vals = _rows(table, nodes[:, :2], nodes[:, 2])
+        keys, node_class, mult = {}, {}, {}
+        for (p1, p2, t), d, kid_w, kid_w2 in zip(nodes.tolist(), diag, vals[:, 2:], vals[:, 2:] ** 2):
+            kids = tuple((kid_w2[j - 1], node_class[p1 + (j == 1), p2 + (j == 2), j])
+                         for j in (2, 1) if kid_w[j - 1] != 0)
+            k = node_class[p1, p2, t] = keys.setdefault((d, kids), len(keys))
+            mult[k] = mult.get(k, 0) + comb(p1 + p2 - (t > 0), p1 - (t == 1))
+        return cls.__new__(cls)._tabulate(keys, np.array([mult[k] for k in range(len(keys))]),
+                                          diag, np.nonzero(vals)[0], vals[vals != 0])
+
+    def _tabulate(self, keys, mult, diag, rows, vals):
+        """The per-height class table, and Gershgorin bounds widened so the count is 0
+        below and n above. rows and vals list the stored entries in CSR order; each row
+        sums by np.add.reduceat (its first entry plus the pairwise sum of the rest)."""
         # a class is numbered after its children's, so heights come in one pass
         entries = list(keys)
         height = np.zeros(len(entries), dtype=np.int64)
@@ -265,9 +301,9 @@ class _PivotClasses:
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
 
-        self.n = n
+        self.n = int(mult.sum())
         self._diag = np.array([entries[k][0] for k in order])
-        self._mult = np.bincount(rank[cls], minlength=len(order))
+        self._mult = mult[order]
         # per height, the classes [start, stop) and their j-th children as
         # (class, weight^2, child) columns, j ascending
         self._levels = []
@@ -280,12 +316,15 @@ class _PivotClasses:
             self._levels.append((start, stop, [tuple(map(np.array, zip(*slot)))
                                                for slot in slots.values()]))
 
-        # Gershgorin bounds, widened so the count is 0 below and n above
-        radius = np.asarray(abs(M).sum(axis=1)).ravel() - np.abs(diag)
+        radius = np.zeros(len(diag))
+        start = np.flatnonzero(np.diff(rows, prepend=-1))
+        radius[rows[start]] = np.add.reduceat(np.abs(vals), start)
+        radius -= np.abs(diag)
         lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
         self.tol = 2 * np.finfo(float).eps * max(abs(lo), abs(hi))
         pad = max(self.tol, np.finfo(float).tiny)
         self.lower, self.upper = lo - pad, hi + pad
+        return self
 
     def count_below(self, xs):
         """Number of eigenvalues strictly below each x: the negative pivots."""
@@ -338,7 +377,7 @@ def spectrum_probe(truncation, intervals, epsilon, grid_step=0.01):
     """
     if truncation.dim > EIG_DIM_CAP:
         raise ShapeError(f"dimension {truncation.dim} exceeds cap {EIG_DIM_CAP}")
-    eigs = _PivotClasses(truncation.matrix).eigenvalues()
+    eigs = truncation.classes.eigenvalues()
     intervals = [(float(a), float(b)) for a, b in intervals]
 
     dist = np.min([np.maximum(np.maximum(a - eigs, 0.0), eigs - b) for a, b in intervals],
@@ -481,7 +520,10 @@ def appendix_c0(geometry, ctx, depth=40):
     diag = np.full(nA, float(B2))
     diag[0] = float(B1)
     off = np.full(nA - 1, float(np.sqrt(float(A2))))
-    eigs = _PivotClasses(sparse.diags([off, diag, off], [-1, 0, 1])).eigenvalues()
+    v = np.arange(nA)
+    path = _csr(np.column_stack([v - 1, v, v + 1]),
+                np.column_stack([np.r_[0.0, off], diag, np.r_[off, 0.0]]))
+    eigs = _PivotClasses(path).eigenvalues()
     near_pole = [x for x in eigs if abs(x - float(pole)) < 1e-3]
     band_lo, band_hi = float(band[0]), float(band[1])
     outside = [x for x in eigs

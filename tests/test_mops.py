@@ -2,7 +2,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from angelesco.errors import DomainError, InvalidWeight
+from angelesco.errors import DomainError, InvalidWeight, NormalityFailure
 from angelesco.mops import (
     AngelescoSystem,
     Geometry,
@@ -243,3 +243,27 @@ def test_perfectness_sweep_reference_and_asymmetric():
                 sol = system.solution((n1, n2))
                 with CTX.workprec():
                     assert sol.residual < mp.mpf("1e-80")
+
+
+THIN = ("-1.01", "-1", "1", "100")
+
+
+def _thin_system(bits):
+    ctx = PrecisionContext(bits)
+    with ctx.workprec():
+        return AngelescoSystem(Geometry(*[mp.mpf(v) for v in THIN]), lebesgue_weights(), ctx)
+
+
+def test_type2_only_where_type1_is_singular():
+    # at 192 bits only the type I system at (5, 8) is singular: P_n, its zeros and the
+    # recurrence residual need no type I solve, while the linear form still does
+    low, high = _thin_system(192), _thin_system(512)
+    zeros = low.zeros((5, 8))
+    assert [len(z) for z in zeros] == [5, 8]
+    with mp.workprec(512):
+        for got, want in zip(zeros, high.zeros((5, 8))):
+            assert max(abs(a - b) for a, b in zip(got, want)) < mp.mpf("1e-20")
+    assert low.recurrence_residual((4, 8), 1) < mp.mpf("1e-6")
+    with pytest.raises(NormalityFailure):
+        low.linear_form((5, 8), 200)
+    assert high.solution((5, 8)).a1_poly is not None

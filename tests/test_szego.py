@@ -4,31 +4,33 @@ import pytest
 from angelesco.errors import DomainError
 from angelesco.mops import AngelescoSystem, MultiIndex, lebesgue_weights, reference_geometry
 from angelesco.precision import PrecisionContext
-from angelesco.szego import marginal_predict, phi_map, ratio_report, ratio_report_csv, s_x0, szego_rho, w_map
+from angelesco.szego import marginal_predict, ratio_report, ratio_report_csv, s_x0, szego_rho
+from angelesco.szego_maps import phi_map, w_map
 
 CTX = PrecisionContext(256)
 G0 = reference_geometry()
 W2 = lebesgue_weights()[1]
+I2 = G0.interval(2)
 
 
 def test_w_map_reference_value_and_branch():
     with CTX.workprec():
-        v = w_map(G0, 2, mp.mpf(-2), CTX)
+        v = w_map(mp.mpf(-2), *I2)
         assert abs(v + mp.sqrt(12)) < mp.mpf("1e-70")
         # upper boundary value is +i |w|
-        vb = w_map(G0, 2, mp.mpf("1.5"), CTX, side=+1)
+        vb = w_map(mp.mpf("1.5"), *I2, side=+1)
         assert vb.real == 0 and vb.imag > 0
         big = mp.mpf(10) ** 9
-        assert abs(w_map(G0, 2, big, CTX) / big - 1) < mp.mpf("1e-8")
+        assert abs(w_map(big, *I2) / big - 1) < mp.mpf("1e-8")
 
 
 def test_phi_map_boundary_circle_and_expansion():
     with CTX.workprec():
         for x in ("1.1", "1.5", "1.9"):
-            v = phi_map(G0, 2, mp.mpf(x), CTX, side=+1)
+            v = phi_map(mp.mpf(x), *I2, side=+1)
             assert abs(abs(v) - mp.mpf("0.25")) < mp.mpf("1e-60")
         z = mp.mpf(10) ** 7
-        assert abs(phi_map(G0, 2, z, CTX) - z + mp.mpf("1.5")) < mp.mpf("1e-5")
+        assert abs(phi_map(z, *I2) - z + mp.mpf("1.5")) < mp.mpf("1e-5")
 
 
 def test_szego_constant_weight_closed_form():
@@ -37,7 +39,7 @@ def test_szego_constant_weight_closed_form():
         for z in (mp.mpf(4), mp.mpf("-3.3"), mp.mpc(2, 2), mp.mpc("0.3", "1.1")):
             se = szego_rho(G0, 2, z, W2, CTX)
             h = mp.mpf("0.5")
-            ref = mp.sqrt(phi_map(G0, 2, z, CTX) / (mp.pi * h * w_map(G0, 2, z, CTX)))
+            ref = mp.sqrt(phi_map(z, *I2) / (mp.pi * h * w_map(z, *I2)))
             assert abs(se.value - ref) < mp.mpf("1e-40")
         assert abs(se.at_infinity - mp.sqrt(2 / mp.pi)) < mp.mpf("1e-40")
 
@@ -80,7 +82,7 @@ def test_s_x0_normalization_and_cut_identity():
         assert abs(s_x0(G0, big, G0.alpha1, CTX) - 1) < mp.mpf("1e-8")
         x, x0 = mp.mpf("1.5"), mp.mpf(-2)
         sp = s_x0(G0, x, x0, CTX, side=+1)
-        phi0 = phi_map(G0, 2, x0, CTX)
+        phi0 = phi_map(x0, *I2)
         assert abs(abs(sp) ** 2 * (x - x0) + phi0) < mp.mpf("1e-10")
         z = mp.mpc("0.2", "0.8")
         assert abs(s_x0(G0, z, x0, CTX) - mp.conj(s_x0(G0, mp.conj(z), x0, CTX))) < mp.mpf("1e-40")
@@ -102,7 +104,7 @@ def test_predictor_reduces_to_single_interval_formula():
         z = mp.mpf(4)
         pred = marginal_predict(n, z, W2, G0, CTX)
         se = szego_rho(G0, 2, z, W2, CTX)
-        ref = (se.value / se.at_infinity) * phi_map(G0, 2, z, CTX) ** 6
+        ref = (se.value / se.at_infinity) * phi_map(z, *I2) ** 6
         assert abs(pred - ref) < mp.mpf("1e-40")
 
 

@@ -1,4 +1,6 @@
+import subprocess
 import sys
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -72,8 +74,7 @@ def test_build_tree_structure():
     # every vertex owns one child edge of each type; its type matches the
     # parent edge, so each non-root vertex meets two edges of its own type
     for v in range(1, 3):
-        kids = tree.children(v)
-        assert [i for _, i in kids] == [1, 2]
+        assert list(tree.iota[[2 * v + 1, 2 * v + 2]]) == [1, 2]
         assert tree.iota[v] in (1, 2)
 
 
@@ -188,6 +189,10 @@ def _vertex_counts(M, xs):
     return np.sum(pivots < 0, axis=0)
 
 
+def _scipy(m):
+    return sparse.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+
+
 def _check_kernel(M, xs):
     quotient = _PivotClasses(M)
     eigs = quotient.eigenvalues()
@@ -198,6 +203,11 @@ def _check_kernel(M, xs):
     # also on the diagonal values and at the eigenvalues, where pivots vanish
     xs = np.concatenate([xs, M.diagonal(), eigs])
     assert np.array_equal(quotient.count_below(xs), _vertex_counts(M, xs))
+    # the bisection brackets repeat the sparse row sums bit for bit
+    radius = np.asarray(abs(M).sum(axis=1)).ravel() - np.abs(M.diagonal())
+    lo, hi = float(np.min(M.diagonal() - radius)), float(np.max(M.diagonal() + radius))
+    pad = max(2 * EPS * max(abs(lo), abs(hi)), np.finfo(float).tiny)
+    assert (quotient.lower, quotient.upper) == (lo - pad, hi + pad)
 
 
 @st.composite
@@ -258,7 +268,7 @@ class _Frozen:
        xs=st.lists(st.floats(-4, 4), max_size=6))
 def test_pivot_classes_perturbed_source(depth, A, B, a_over, b_over, xs):
     source = PerturbedSource(_Frozen(A, B), a_overrides=a_over, b_overrides=b_over)
-    _check_kernel(assemble_J(build_tree(depth), source).matrix, xs)
+    _check_kernel(_scipy(assemble_J(build_tree(depth), source).matrix), xs)
 
 
 def test_pivot_classes_merge_and_reject_non_trees(cd_half):
@@ -408,3 +418,135 @@ def test_rlimit_computed_table():
     assert rep0["deviations"][1] < rep0["deviations"][0]
     with pytest.raises(SourceError):
         src.a((40, 40), 1)
+
+
+# ---------------------------------------------------------------------------
+# Pivot classes keyed on the (projection, type) lattice
+# ---------------------------------------------------------------------------
+
+def _loop_tree(depth):
+    """The per-vertex loop build_tree replaced."""
+    n = 2 ** (depth + 1) - 1
+    parent, proj = np.full(n, -1), np.ones((n, 2), dtype=np.int64)
+    iota, level = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    for v in range(1, n):
+        p, t = (v - 1) // 2, 1 if v % 2 == 1 else 2
+        parent[v], iota[v], level[v] = p, t, level[p] + 1
+        proj[v] = proj[p]
+        proj[v, t - 1] += 1
+    return parent, proj, iota, level
+
+
+@pytest.mark.parametrize("depth", range(13))
+def test_build_tree_matches_loop(depth):
+    tree = build_tree(depth)
+    for got, want in zip((tree.parent, tree.proj, tree.iota, tree.level), _loop_tree(depth)):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def _lil_J(tree, source, kappa=(0.0, 1.0)):
+    """Entry-by-entry sparse assembly of J, as before the lattice table."""
+    n = tree.n_vertices
+    M = sparse.lil_matrix((n, n))
+    M[0, 0] = kappa[0] * source.b((0, 1), 1) + kappa[1] * source.b((1, 0), 2)
+    for v in range(n):
+        for child, i in ((2 * v + 1, 1), (2 * v + 2, 2)):
+            if child < n:
+                w = np.sqrt(source.a(tuple(tree.proj[v]), i))
+                M[v, child] = M[child, v] = w
+                M[child, child] = source.b(tuple(tree.proj[v]), i)
+    return M.tocsr()
+
+
+def _model_source(cd):
+    return _Frozen((float(cd.A1), float(cd.A2)), (float(cd.B1), float(cd.B2)))
+
+
+@pytest.fixture(scope="module")
+def computed():
+    return ComputedSource(AngelescoSystem(G0, lebesgue_weights(), PrecisionContext(192)).table(12))
+
+
+@pytest.fixture(scope="module")
+def lattice_sources(synthetic, computed):
+    pert = PerturbedSource(synthetic, a_overrides={((1, 1), 1): 0.9, ((2, 1), 2): 0.0,
+                                                   ((2, 3), 1): 2.5},
+                           b_overrides={((1, 2), 2): 0.0, ((3, 1), 1): -0.25})
+    return {"synthetic": synthetic, "computed": computed, "perturbed": pert}
+
+
+@pytest.mark.parametrize("name", ["synthetic", "computed", "perturbed"])
+def test_lattice_matrix_matches_entrywise_assembly(name, lattice_sources, cd_half):
+    source = lattice_sources[name]
+    for depth in (0, 1, 4, 7):
+        tree = build_tree(depth)
+        for new, old in ((assemble_J(tree, source).matrix, _lil_J(tree, source)),
+                         (assemble_J(tree, source, kappa=(0.3, 0.7)).matrix,
+                          _lil_J(tree, source, kappa=(0.3, 0.7))),
+                         (assemble_L(tree, 0.5, 2, cd_half).matrix,
+                          _lil_J(tree, PerturbedSource(_model_source(cd_half),
+                                                       b_overrides={((1, 0), 2): float(cd_half.B2)})))):
+            assert new.shape == old.shape
+            for field in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(new, field), getattr(old, field))
+
+
+def test_lattice_matrix_matches_on_the_boundary_ray():
+    # A1 = 0 at c = 0: every type-1 edge is dropped, as the sparse assembly dropped it
+    cd0 = curve(G0, 0, CTX)
+    assert cd0.A1 == 0
+    tree = build_tree(5)
+    new = assemble_L(tree, 0.0, 1, cd0).matrix
+    old = _lil_J(tree, PerturbedSource(_model_source(cd0), b_overrides={((1, 0), 2): float(cd0.B1)}))
+    for field in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(new, field), getattr(old, field))
+    assert len(new.data) == tree.n_vertices + 2 * (2 ** 5 - 1)  # diagonal and the type-2 edges
+
+
+@pytest.mark.parametrize("name", ["synthetic", "computed", "perturbed"])
+def test_lattice_counts_match_vertex_classes(name, lattice_sources, cd_half):
+    source = lattice_sources[name]
+    xs = np.random.default_rng(11).uniform(-3.0, 3.0, 200)
+    for depth in range(10):
+        tree = build_tree(depth)
+        for T in (assemble_J(tree, source), assemble_L(tree, 0.5, 1, cd_half)):
+            ref = _PivotClasses(T.matrix)
+            at = np.concatenate([xs, ref._diag])  # zero pivots at the diagonal values
+            assert np.array_equal(T.classes.count_below(at), ref.count_below(at))
+            assert (T.classes.n, T.classes.lower, T.classes.upper) == (ref.n, ref.lower, ref.upper)
+            assert len(T.classes._diag) == len(ref._diag) and T.dim == tree.n_vertices
+
+
+def test_lattice_class_counts(synthetic, cd_half):
+    assert len(assemble_L(build_tree(10), 0.5, 1, cd_half).classes._diag) == 21
+    assert len(assemble_J(build_tree(11), synthetic).classes._diag) == 45
+
+
+def test_lattice_counts_at_depth_16_without_a_matrix(cd_half, monkeypatch):
+    def no_matrix(self):
+        raise AssertionError("matrix built")
+
+    monkeypatch.setattr(TreeTruncation, "matrix", property(no_matrix))
+    xs = [-2.5, -1.5, 0.0, 1.5, 2.5]
+    t0 = time.perf_counter()
+    tree = build_tree(16)
+    counts = [T.classes.count_below(xs)
+              for T in (assemble_L(tree, 0.5, 1, cd_half), assemble_J(tree, SyntheticSource(G0)))]
+    elapsed = time.perf_counter() - t0
+    assert tree.n_vertices == 131071 and elapsed < 2.0
+    for c in counts:
+        assert c[0] == 0 and c[-1] == tree.n_vertices and np.all(np.diff(c) >= 0)
+
+
+def test_computed_operator_essential_spectrum(computed):
+    # the spectral theorem on the Jacobi matrix of the actual recurrence coefficients
+    rep = spectrum_probe(assemble_J(build_tree(10), computed), TARGETS, 0.1)
+    assert rep["dim"] == 2047
+    assert rep["inside_fraction"] >= 0.9
+    assert rep["max_coverage_gap"] < 0.05
+
+
+def test_no_scipy_at_import():
+    code = "import sys, angelesco.cli; print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
