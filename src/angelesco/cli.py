@@ -193,8 +193,8 @@ def _suite_marginal(args, ctx, geometry, weights):
 
 
 def _suite_spectrum(args, ctx, geometry, weights):
-    cd = curve(geometry, "0.5", ctx, with_dc=False)
     tree = build_tree(args.depth)
+    cd = curve(geometry, "0.5", ctx, with_dc=False)
     targets = [tuple(map(float, geometry.interval(1))), tuple(map(float, geometry.interval(2)))]
     repL = spectrum_probe(assemble_L(tree, 0.5, 1, cd), targets, 0.1)
     src = SyntheticSource(geometry, bits=min(ctx.mantissa_bits, 192))

@@ -16,7 +16,6 @@ pushed off the second) reduce to small Newton systems in the map parameters.
 """
 
 import cmath
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -55,7 +54,7 @@ class CurveData:
     w_crit: tuple  # (w1, w2, w3, w4)
     w_star: mp.mpf
     z_c: mp.mpf
-    d_c: object  # mpf in the pushed-left regime, else None
+    d_c: object  # node of a pushed regime; None in the middle one or with with_dc=False
     K: mp.mpf  # 1 - c + c^2
     solve_residual: mp.mpf
     geometry: object = None
@@ -335,29 +334,22 @@ def critical_thresholds(geometry, ctx):
         return Thresholds(c_star, c_dstar)
 
 
-def _closed_form_degenerate(geometry, c, ctx):
-    """Exact limit constants when one support collapses (c = 0 or 1)."""
+def _closed_form_degenerate(geometry, ctx):
+    """Exact limit constants at c = 0, where the first support collapses to alpha1.
+
+    The c = 1 constants are these on the mirrored geometry (see ``curve``).
+    """
     g = geometry
     with ctx.workprec():
-        if c == 0:
-            A2 = ((g.beta2 - g.alpha2) / 4) ** 2
-            B2 = (g.beta2 + g.alpha2) / 2
-            B1 = B2 + phi_map(g.alpha1, g.alpha2, g.beta2)
-            sA = mp.sqrt(A2)
-            return CurveData(
-                c=mp.mpf(0), regime=PUSHED_LEFT, beta_c1=g.alpha1, alpha_c2=g.alpha2,
-                A1=mp.mpf(0), A2=A2, B1=B1, B2=B2,
-                w_crit=(B1, B1, B2 - sA, B2 + sA), w_star=B1, z_c=g.alpha1,
-                d_c=g.alpha1, K=mp.mpf(1), solve_residual=mp.mpf(0), geometry=g)
-        A1 = ((g.beta1 - g.alpha1) / 4) ** 2
-        B1 = (g.beta1 + g.alpha1) / 2
-        B2 = B1 - phi_map(-g.beta2, -g.beta1, -g.alpha1)
-        sA = mp.sqrt(A1)
+        A2 = ((g.beta2 - g.alpha2) / 4) ** 2
+        B2 = (g.beta2 + g.alpha2) / 2
+        B1 = B2 + phi_map(g.alpha1, g.alpha2, g.beta2)
+        sA = mp.sqrt(A2)
         return CurveData(
-            c=mp.mpf(1), regime=PUSHED_RIGHT, beta_c1=g.beta1, alpha_c2=g.beta2,
-            A1=A1, A2=mp.mpf(0), B1=B1, B2=B2,
-            w_crit=(B1 - sA, B1 + sA, B2, B2), w_star=B2, z_c=g.beta2,
-            d_c=None, K=mp.mpf(1), solve_residual=mp.mpf(0), geometry=g)
+            c=mp.mpf(0), regime=PUSHED_LEFT, beta_c1=g.alpha1, alpha_c2=g.alpha2,
+            A1=mp.mpf(0), A2=A2, B1=B1, B2=B2,
+            w_crit=(B1, B1, B2 - sA, B2 + sA), w_star=B1, z_c=g.alpha1,
+            d_c=g.alpha1, K=mp.mpf(1), solve_residual=mp.mpf(0), geometry=g)
 
 
 # Below this fraction of c*, the pushed solve is seeded from the small-c laws;
@@ -377,7 +369,7 @@ def _pushed_left_solve(geometry, c, c_star, ctx):
     g = geometry
     if c < SMALL_C_SEED_FRACTION * c_star:
         W = abs(w_map(g.alpha1, g.alpha2, g.beta2))
-        c0 = _closed_form_degenerate(g, 0, ctx)
+        c0 = _closed_form_degenerate(g, ctx)
         x0 = [(c * W) ** 2, c0.A2, c0.B1, c0.B2, g.alpha1 + 4 * c * W]
     else:
         x0 = list(_full_map(g, ctx)[0]) + [g.beta1]
@@ -431,8 +423,10 @@ def curve(geometry, c, ctx, with_dc=True):
         c = mp.mpf(c)
         if not (0 <= c <= 1):
             raise ValueError("c must lie in [0, 1]")
-        if c == 0 or c == 1:
-            return _closed_form_degenerate(g, c, ctx)
+        if c == 0:
+            return _closed_form_degenerate(g, ctx)
+        if c == 1:
+            return _mirror_curve(_closed_form_degenerate(g.mirrored(), ctx), g)
         th = critical_thresholds(g, ctx)
         K = 1 - c + c * c
         if th.c_star <= c <= th.c_dstar:
@@ -599,10 +593,6 @@ def _double_roots(c2, c1, c0):
     return [complex(r) for r in np.roots(coeffs)]
 
 
-def _separation(roots):
-    return min(abs(roots[0] - roots[1]), abs(roots[0] - roots[2]), abs(roots[1] - roots[2]))
-
-
 def _cubic_roots(curve_data, z, ctx):
     """Roots of (w - z)(w - B1)(w - B2) + A1 (w - B2) + A2 (w - B1).
 
@@ -695,110 +685,83 @@ def chi_eval(curve_data, z, ctx, side=+1):
 
     Returns {0: w, 1: w, 2: w}. For real z in the cuts the conjugate pair is
     split by `side` (+1 = limit from the upper half-plane); at a branch point
-    the merged pair is returned under both labels. Complex z with Im z > 0 are
-    labeled by continuation from a real anchor right of the spectrum, in
-    double precision while the roots stay farther apart than doubles resolve
-    and at context precision from the first step where they do not; the
-    roots at z are then polished once and matched to those labels. Im z < 0
-    gives the conjugates of the values at conj(z).
+    the merged pair is returned under both labels. Im z < 0 gives the
+    conjugates of the values at conj(z).
+
+    For Im z > 0 the three roots are polished once and labeled by the
+    half-plane rule: Im R(w) = Im w (1 - S(w)) with
+    S(w) = A1/|w - B1|^2 + A2/|w - B2|^2, so chi^(0) is the one root above the
+    real axis and chi^(1), chi^(2) are the two below it, where S > 1. S < 1 on
+    the whole line Re w = wm through the zero of R'' between the poles (S
+    peaks at its real point, where R'(wm) > 0), so chi^(1) lies left of that
+    line and chi^(2) right of it: they are the lower roots in increasing order
+    of real part. A collapsed sheet (A_k = 0, at c = 0 or 1) is the root
+    nearest B_k, since chi^(k) = B_k there.
 
     Domain: every z whose cubic has finite coefficients in double precision
     (DomainError otherwise). ClassificationError is raised when real roots
-    off the cuts do not fit the sheet windows, and when a continuation step
-    or the final match moves a root by more than 0.4 of the labels'
-    separation even at step 2^-60 of a path segment; directly above a branch
-    point that happens for Im z below about 1e-19, at any bits.
+    off the cuts do not fit the sheet windows, and, for Im z > 0, when two
+    roots of uncollapsed sheets lie within 2^(4 - bits/2) of the roots' scale,
+    the square-root rounding floor below which the roots near a branch point
+    do not resolve the sign of Im w. Directly above a branch point that is
+    Im z below about 2^(10 - bits) on the reference geometry.
     """
     with ctx.workprec():
         z = mp.mpc(z)
         if z.imag < 0:
             labels = chi_eval(curve_data, mp.conj(z), ctx)
             return {k: mp.conj(w) for k, w in labels.items()}
-        if z.imag == 0:
-            roots = _cubic_roots(curve_data, z.real, ctx)
-            cut = _on_cut(curve_data, z.real, ctx)
-            chop = mp.sqrt(ctx.solve_tolerance) * max(1, *(abs(r) for r in roots))
-            if cut == 0:
-                roots = [r.real if abs(r.imag) <= chop else r for r in roots]
-                if any(isinstance(r, mp.mpc) for r in roots):
-                    raise ClassificationError("unexpected complex pair off the cuts")
-                return _classify_real(curve_data, [mp.mpc(r) for r in roots], ctx)
-            reals = [r for r in roots if abs(r.imag) <= chop]
-            pair = [r for r in roots if abs(r.imag) > chop]
-            if len(pair) != 2:
-                # at a branch point the pair degenerates; return merged labels
-                vals = sorted((r.real for r in roots))
-                w1, w2, w3, w4 = curve_data.w_crit
-                out = {}
-                if cut == 1:
-                    out[2] = max(vals)
-                    out[0] = out[1] = vals[0] if abs(vals[0] - vals[1]) < chop else vals[1]
-                else:
-                    out[1] = min(vals)
-                    out[0] = out[2] = vals[-1]
-                return out
-            upper = pair[0] if pair[0].imag > 0 else pair[1]
-            lower = pair[0] if pair[0].imag < 0 else pair[1]
-            out = {0: upper if side >= 0 else lower}
-            other = 1 if cut == 1 else 2
-            out[other] = lower if side >= 0 else upper
-            third = 2 if cut == 1 else 1
-            out[third] = reals[0].real
+        roots = _cubic_roots(curve_data, z.real if z.imag == 0 else z, ctx)
+        if z.imag > 0:
+            return _classify_upper(curve_data, roots, ctx)
+        cut = _on_cut(curve_data, z.real, ctx)
+        chop = mp.sqrt(ctx.solve_tolerance) * max(1, *(abs(r) for r in roots))
+        if cut == 0:
+            roots = [r.real if abs(r.imag) <= chop else r for r in roots]
+            if any(isinstance(r, mp.mpc) for r in roots):
+                raise ClassificationError("unexpected complex pair off the cuts")
+            return _classify_real(curve_data, [mp.mpc(r) for r in roots], ctx)
+        reals = [r for r in roots if abs(r.imag) <= chop]
+        pair = [r for r in roots if abs(r.imag) > chop]
+        if len(pair) != 2:
+            # at a branch point the pair degenerates; return merged labels
+            vals = sorted((r.real for r in roots))
+            out = {}
+            if cut == 1:
+                out[2] = max(vals)
+                out[0] = out[1] = vals[0] if abs(vals[0] - vals[1]) < chop else vals[1]
+            else:
+                out[1] = min(vals)
+                out[0] = out[2] = vals[-1]
             return out
-        # complex z: continuation from the real anchor
-        g = curve_data.geometry
-        span = g.beta2 - g.alpha1
-        anchor = g.beta2 + 1 + span
-        height = max(z.imag, span / 2)
-        waypoints = [mp.mpc(anchor), mp.mpc(anchor, height), mp.mpc(z.real, height), z]
-        p = tuple(float(v) for v in curve_data.params())
-        anchor_roots = _double_roots(*_cubic_coefficients(p, float(anchor)))
-        labels = _classify_real(curve_data, anchor_roots, ctx)
-        current = [labels[0], labels[1], labels[2]]
-        exact = False
-        for a, b in zip(waypoints, waypoints[1:]):
-            t, t_step = mp.mpf(0), mp.mpf(1)
-            while t < 1:
-                t_try = min(mp.mpf(1), t + t_step)
-                zt = a + (b - a) * t_try
-                if exact:
-                    roots = _cubic_roots(curve_data, zt, ctx)
-                else:
-                    roots = _double_roots(*_cubic_coefficients(p, complex(zt)))
-                    # doubles place a root to about eps (S / sep)^2 of sep:
-                    # 2^-20 of sep at sep = 2^-16 S
-                    if _separation(roots) < 2.0 ** -16 * max(1.0, *(abs(r) for r in roots)):
-                        exact = True
-                        continue
-                match = _match_roots(current, roots)
-                if match is None:
-                    t_step /= 2
-                    if t_step < mp.mpf(2) ** (-60):
-                        raise ClassificationError(
-                            "continuation step rejected; use a smaller step or larger Im z")
-                    continue
-                current, t = match, t_try
-                t_step = min(t_step * 2, mp.mpf(1) - t if t < 1 else mp.mpf(1))
-                if t_step == 0:
-                    break
-        if not exact:
-            current = _match_roots(current, _cubic_roots(curve_data, z, ctx))
-            if current is None:
-                raise ClassificationError("polished roots do not match the continued labels")
-        return {0: current[0], 1: current[1], 2: current[2]}
+        upper = pair[0] if pair[0].imag > 0 else pair[1]
+        lower = pair[0] if pair[0].imag < 0 else pair[1]
+        out = {0: upper if side >= 0 else lower}
+        other = 1 if cut == 1 else 2
+        out[other] = lower if side >= 0 else upper
+        third = 2 if cut == 1 else 1
+        out[third] = reals[0].real
+        return out
 
 
-def _match_roots(prev, roots):
-    """roots reordered to follow prev, or None if a root moved 0.4 of prev's separation."""
-    best, best_cost = None, None
-    for perm in itertools.permutations(range(3)):
-        cost = max(abs(roots[perm[k]] - prev[k]) for k in range(3))
-        if best_cost is None or cost < best_cost:
-            best_cost, best = cost, perm
-    sep = _separation(prev)
-    if sep > 0 and best_cost > 0.4 * sep:
-        return None
-    return [roots[best[k]] for k in range(3)]
+def _classify_upper(curve_data, roots, ctx):
+    """Labels for the three roots at Im z > 0 by the half-plane rule (see chi_eval)."""
+    A1, A2, B1, B2 = curve_data.params()
+    roots, out = list(roots), {}
+    for k, A, B in ((1, A1, B1), (2, A2, B2)):
+        if A == 0:
+            out[k] = roots.pop(min(range(len(roots)), key=lambda i: abs(roots[i] - B)))
+    floor = mp.ldexp(max(1, *(abs(r) for r in roots)), 4 - ctx.mantissa_bits // 2)
+    if min(abs(u - v) for i, u in enumerate(roots) for v in roots[:i]) <= floor:
+        raise ClassificationError("two roots closer than the square-root rounding floor; "
+                                  "Im z is too small this near a branch point")
+    upper = [r for r in roots if r.imag > 0]
+    if len(upper) != 1:
+        raise ClassificationError("not exactly one root above the real axis")
+    lower = sorted((r for r in roots if not r.imag > 0), key=lambda r: r.real)
+    out[0] = upper[0]
+    out.update(zip((k for k in (1, 2) if k not in out), lower))
+    return out
 
 
 def h_eval_w(curve_data, w):

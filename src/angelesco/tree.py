@@ -21,7 +21,11 @@ import mpmath as mp
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ShapeError, SourceError
-from .precision import EIG_DIM_CAP, PrecisionContext
+from .precision import PrecisionContext
+
+# the most eigenvalues spectrum_probe bisects for at once (about ten float arrays
+# of this length) and the most vertices build_tree lays out (seven integer arrays)
+EIG_COUNT_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,8 @@ class TreeIndex:
 def build_tree(depth):
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    if 2 ** (depth + 1) - 1 > EIG_COUNT_CAP:
+        raise ShapeError(f"depth {depth} has more vertices than the cap {EIG_COUNT_CAP}")
     v = np.arange(2 ** (depth + 1) - 1, dtype=np.int64)
     level = np.repeat(np.arange(depth + 1, dtype=np.int64), 2 ** np.arange(depth + 1))
     # below the leading bit of v + 1, each 1 bit is a step to a type-2 child
@@ -375,8 +381,8 @@ def spectrum_probe(truncation, intervals, epsilon, grid_step=0.01):
     and the largest distance from a target grid point to the nearest
     eigenvalue.
     """
-    if truncation.dim > EIG_DIM_CAP:
-        raise ShapeError(f"dimension {truncation.dim} exceeds cap {EIG_DIM_CAP}")
+    if truncation.dim > EIG_COUNT_CAP:
+        raise ShapeError(f"dimension {truncation.dim} exceeds cap {EIG_COUNT_CAP}")
     eigs = truncation.classes.eigenvalues()
     intervals = [(float(a), float(b)) for a, b in intervals]
 

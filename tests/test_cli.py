@@ -1,8 +1,12 @@
 import importlib
 import json
 import os
+import resource
+import subprocess
+import sys
 
 import mpmath as mp
+import pytest
 
 from angelesco.cli import main
 
@@ -121,6 +125,17 @@ def test_verify_mfun_one_sheet_evaluation_per_point(capsys, monkeypatch):
     assert len(chi_calls) == 20 and len(rec_calls) == 20
 
 
+@pytest.mark.parametrize("c", ["0", "1"])
+def test_verify_mfun_collapsed_support_at_512_bits(c, capsys):
+    # the sheets at complex z need no real anchor, whose roots once missed the
+    # zero-width window of the collapsed support [B_k, B_k]
+    code, out, _ = run_cli(["verify", "mfun", "--geom=-2,-1,1,2", "--c", c,
+                            "--bits", "512"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pass"] is True and doc["detail"]["max_difference"] < 1e-10
+
+
 def test_verify_mfun_and_equilibrium(tmp_path, capsys):
     code, out, _ = run_cli(["verify", "mfun", "--geom=-2,-1,1,2", "--c", "0.4",
                             "--bits", "256"], capsys)
@@ -172,6 +187,31 @@ def test_verify_spectrum_depth11_by_counts(capsys, monkeypatch):
     assert detail["jacobi_inside_fraction"] == 4094 / 4095
     assert abs(detail["model_max_gap"] - 0.02148618562084148) < 1e-13
     assert abs(detail["jacobi_max_gap"] - 0.021489805316551314) < 1e-13
+
+
+def test_verify_spectrum_depth12_above_the_dense_cap(capsys):
+    # 8,191 vertices, above the 5,000 of the dense eigensolver's cap
+    code, out, _ = run_cli(["verify", "spectrum", "--geom=-2,-1,1,2",
+                            "--depth", "12", "--bits", "192"], capsys)
+    assert code == 0
+    detail = json.loads(out)["detail"]
+    assert detail["model_inside_fraction"] == 1.0 and detail["jacobi_inside_fraction"] >= 0.9
+
+
+def test_verify_spectrum_refuses_depth30_before_allocating():
+    # 2^31 - 1 vertices: refused before any per-vertex array exists, so a 1 GiB
+    # address-space limit (with one BLAS thread, numpy's import stays far under
+    # it) gives exit 2 and a message, not a MemoryError
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-m", "angelesco.cli", "verify", "spectrum",
+                           "--depth", "30", "--bits", "128"],
+                          env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+                          preexec_fn=limit, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "more vertices than the cap" in proc.stderr
 
 
 def test_verify_limits_small(capsys):

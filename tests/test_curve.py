@@ -1,3 +1,4 @@
+import itertools
 import sys
 import time
 
@@ -25,7 +26,6 @@ from angelesco.curve import (
 from angelesco.curve import (
     _classify_real,
     _critical_points,
-    _match_roots,
     _mirror_curve,
     _newton,
     _on_cut,
@@ -423,6 +423,17 @@ def _oracle_roots(cd, z, bits):
         return mp.polyroots(coeffs, maxsteps=200, extraprec=bits)
 
 
+def _oracle_match(prev, roots):
+    """roots reordered to follow prev, or None if a root moved 0.4 of prev's separation."""
+    best = min(itertools.permutations(range(3)),
+               key=lambda perm: max(abs(roots[perm[k]] - prev[k]) for k in range(3)))
+    cost = max(abs(roots[best[k]] - prev[k]) for k in range(3))
+    sep = min(abs(prev[i] - prev[j]) for i in range(3) for j in range(i))
+    if sep > 0 and cost > 0.4 * sep:
+        return None
+    return [roots[best[k]] for k in range(3)]
+
+
 def _oracle_chi(cd, z, ctx, side=+1):
     """Sheet labels by chi_eval's former all-context-precision route.
 
@@ -454,8 +465,8 @@ def _oracle_chi(cd, z, ctx, side=+1):
             t, t_step = mp.mpf(0), mp.mpf(1)
             while t < 1:
                 t_try = min(mp.mpf(1), t + t_step)
-                match = _match_roots(current, _oracle_roots(cd, a + (b - a) * t_try,
-                                                            ctx.mantissa_bits))
+                match = _oracle_match(current, _oracle_roots(cd, a + (b - a) * t_try,
+                                                             ctx.mantissa_bits))
                 if match is None:
                     t_step /= 2
                     if t_step < mp.mpf(2) ** (-60):
@@ -514,8 +525,8 @@ def test_chi_eval_matches_oracle(bits, l1, l2, regime, u, re, log_im, lower, whe
 
 
 def test_chi_eval_domain_near_branch_point():
-    # doubles cannot resolve the pair here (separation ~ 1e-8), so the
-    # continuation finishes at context precision
+    # the pair above beta_{c,1} is 1e-8 apart at Im z = 1e-16, and 1e-12 apart at
+    # 1e-24: both above the square-root rounding floor 2^(4 - 128/2) ~ 1e-18
     ctx = PrecisionContext(128)
     cd = curve(G0, "0.05", ctx, with_dc=False)
     with ctx.workprec():
@@ -527,8 +538,15 @@ def test_chi_eval_domain_near_branch_point():
                 # same labels: each value is the oracle's for its sheet, far
                 # inside the pair's separation (root error ~ eps / sep)
                 assert abs(ch[k] - ref[k]) <= mp.mpf(2) ** (16 - 128) / sep
+        # the pair sits at w2 +- sqrt(2i 1e-24 / R''(w2)), 0.4 sqrt(1e-24) from the
+        # merged value at beta, with sheet 0 above the real axis and sheet 1 below
+        merged, ch = chi_eval(cd, beta, ctx), chi_eval(cd, mp.mpc(beta, "1e-24"), ctx)
+        for k in (0, 1, 2):
+            assert abs(ch[k] - merged[k]) <= mp.sqrt(mp.mpf("1e-24"))
+        assert ch[0].imag > 0 > ch[1].imag
+        # at Im z = 1e-80 the pair (1e-40 apart) is below the floor
         with pytest.raises(ClassificationError):
-            chi_eval(cd, mp.mpc(beta, "1e-24"), ctx)
+            chi_eval(cd, mp.mpc(beta, "1e-80"), ctx)
 
 
 def test_chi_eval_at_branch_points_square_root_limited():

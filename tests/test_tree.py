@@ -321,10 +321,17 @@ def test_probe_statistics_match_loops(eigs, monkeypatch):
     assert rep["max_coverage_gap"] == max(gaps)
 
 
-def test_spectrum_probe_dimension_cap(monkeypatch):
-    monkeypatch.setattr(sys.modules["angelesco.tree"], "EIG_DIM_CAP", 10)
+def test_spectrum_probe_dimension_cap(cd_half, monkeypatch):
+    # the cap bounds the eigenvalue list the bisection holds, not a dense matrix:
+    # a depth-16 truncation (131,071 eigenvalues) is probed
+    rep = spectrum_probe(assemble_L(build_tree(16), 0.5, 1, cd_half), TARGETS, 0.1)
+    assert rep["dim"] == len(rep["eigs"]) == 131071 and rep["inside_fraction"] == 1.0
+    monkeypatch.setattr(sys.modules["angelesco.tree"], "EIG_COUNT_CAP", 10)
     with pytest.raises(ShapeError):
         spectrum_probe(TreeTruncation(sparse.identity(15, format="csr"), "I", 3), TARGETS, 0.1)
+    # a tree is refused before its vertex arrays are allocated
+    with pytest.raises(ShapeError):
+        build_tree(3)
 
 
 def test_m_recursion_basics(cd_half):
