@@ -104,16 +104,19 @@ def _nnrr_errors_csv(geometry, table, ctx):
 def _nnrr_table_cached(system, n_max):
     """(table, errors CSV, cache hit) for one configuration.
 
-    A cache entry is the table CSV followed by its errors CSV. An entry
-    without the errors (written by an older version) gets them recomputed
-    and appended.
+    A cache entry is the table CSV followed by its errors CSV; an entry
+    without both, or one that fails the spot check, is a miss and is
+    rewritten whole.
     """
     cache = _cache_dir()
     key = _table_cache_key(system.geometry, system.weights, system.ctx.mantissa_bits, n_max)
     path = os.path.join(cache, f"nnrr_{key}.csv") if cache else None
+    entry = ""
     if path and os.path.exists(path):
         with open(path) as f:
-            table_text, header, rows = f.read().partition(ERRORS_HEADER)
+            entry = f.read()
+    table_text, header, rows = entry.partition(ERRORS_HEADER)
+    if header:
         table = NnrrTable.from_csv(table_text)
         # spot-check one index against a fresh sweep
         with system.ctx.workprec():
@@ -122,11 +125,7 @@ def _nnrr_table_cached(system, n_max):
             ok = all(abs(a - b) <= mp.mpf(10) ** (-(DIGITS - 5)) * (1 + abs(a))
                      for a, b in zip(fresh, cached))
         if ok:
-            if header:
-                return table, header + rows, True
-            errors = _nnrr_errors_csv(system.geometry, table, system.ctx)
-            _write_out(path, table_text + errors)
-            return table, errors, True
+            return table, header + rows, True
     table = system.table(n_max)
     errors = _nnrr_errors_csv(system.geometry, table, system.ctx)
     if path:

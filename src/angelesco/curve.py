@@ -266,44 +266,24 @@ def _default_seed(branch_points):
     ]
 
 
-def _is_symmetric(branch_points, ctx):
-    a1, b1, a2, b2 = branch_points
-    s = max(1, abs(a1), abs(b2))
-    return abs(a1 + b2) < ctx.solve_tolerance * s and abs(b1 + a2) < ctx.solve_tolerance * s
-
-
 def chi_solve(branch_points, ctx):
     """Map parameters (A1, A2, B1, B2) whose critical values hit the branch points.
 
-    One Newton solve from interval-based seeds; on symmetric point sets the
-    system is halved by imposing A1 = A2 and B1 = -B2.
+    One Newton solve in all four unknowns from interval-based seeds.
     Returns (params, w_crit, residual).
     """
     with ctx.workprec():
         bp = tuple(mp.mpf(v) for v in branch_points)
         if not all(x < y for x, y in zip(bp, bp[1:])):
             raise SolveFailure("branch points must be strictly increasing")
-        x0 = _default_seed(bp)
-        if _is_symmetric(bp, ctx):
-            def F(y):
-                A, B = y
-                rows, Jrows, _ = _chi_residual_rows([A, A, -B, B], bp, ctx)
-                # equations at the two right critical points determine (A, B)
-                F2 = [rows[2], rows[3]]
-                J2 = [[Jrows[2][0] + Jrows[2][1], Jrows[2][3] - Jrows[2][2]],
-                      [Jrows[3][0] + Jrows[3][1], Jrows[3][3] - Jrows[3][2]]]
-                return F2, J2
 
-            x, _ = _newton(F, [x0[1], x0[3]], ctx,
-                           validator=lambda y: y[0] > 0 and y[1] > 0)
-            params = (x[0], x[0], -x[1], x[1])
-        else:
-            def F(y):
-                rows, J, _ = _chi_residual_rows(y, bp, ctx)
-                return rows, J
+        def F(y):
+            rows, J, _ = _chi_residual_rows(y, bp, ctx)
+            return rows, J
 
-            x, _ = _newton(F, x0, ctx, validator=lambda y: y[0] > 0 and y[1] > 0 and y[2] < y[3])
-            params = tuple(x)
+        x, _ = _newton(F, _default_seed(bp), ctx,
+                       validator=lambda y: y[0] > 0 and y[1] > 0 and y[2] < y[3])
+        params = tuple(x)
         w_crit = _critical_points(params, ctx)
         resid = max(abs(_R(wj, params) - t) for wj, t in zip(w_crit, bp))
         if resid > ctx.solve_tolerance * max(1, max(abs(v) for v in bp)):
@@ -1046,6 +1026,9 @@ def curve_to_json(curve_data, thresholds=None, digits=30):
     of the written constants, 10^-digits of the geometry's scale: below it the
     residual is rounding noise that differs between two solves of the same
     curve, so the bytes change only when a constant or the certificate does.
+    For the same reason a position (an endpoint, B1, B2 or z_c) within the
+    resolution of 0 is written as 0; A1 and A2 are masses, legitimately tiny
+    at small c, and are written as they are.
     """
     cd = curve_data
     g = cd.geometry
@@ -1054,19 +1037,22 @@ def curve_to_json(curve_data, thresholds=None, digits=30):
     def s(v, digits=digits):
         return mp.nstr(v, digits) if v is not None else None
 
+    def position(v):
+        return s(mp.mpf(0) if abs(v) <= resolution else v)
+
     doc = {
         "c": s(cd.c),
         "geometry": [s(v) for v in g.as_tuple()],
         "regime": cd.regime,
         "c_star": s(thresholds.c_star) if thresholds else None,
         "c_dstar": s(thresholds.c_dstar) if thresholds else None,
-        "beta_c1": s(cd.beta_c1),
-        "alpha_c2": s(cd.alpha_c2),
+        "beta_c1": position(cd.beta_c1),
+        "alpha_c2": position(cd.alpha_c2),
         "A1": s(cd.A1),
         "A2": s(cd.A2),
-        "B1": s(cd.B1),
-        "B2": s(cd.B2),
-        "z_c": s(cd.z_c),
+        "B1": position(cd.B1),
+        "B2": position(cd.B2),
+        "z_c": position(cd.z_c),
         "residual": s(max(cd.solve_residual, resolution), 3),
     }
     return json.dumps(doc, sort_keys=True, indent=2)

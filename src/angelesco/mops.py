@@ -6,9 +6,10 @@ orthogonality counts, and the nearest-neighbor recurrence coefficients from
 an O(L^2) sweep of the compatibility relations, certified by orthogonality.
 """
 
-import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
+from math import comb
 
 import mpmath as mp
 
@@ -20,7 +21,7 @@ from .errors import (
     SingularSystem,
     ZeroLocationFailure,
 )
-from .precision import Poly, PrecisionContext, find_root, gauss_legendre, real_root_count, solve_dense
+from .precision import Poly, PrecisionContext, find_root, gauss_legendre, solve_dense
 
 
 @dataclass(frozen=True)
@@ -87,20 +88,55 @@ class WeightSpec:
         val = self.poly_part()(x)
         return mp.exp(val) if self.kind == "exppoly" else val
 
-    def validate(self, geometry, ctx, margin_frac="0.1"):
-        """Check strict positivity on a neighborhood of the interval."""
+    def validate(self, geometry):
+        """Check that a 'poly' density is positive on [a - L/10, b + L/10], L = b - a.
+
+        Exact, in Fractions of the decimal coefficients and of the endpoints.
+        """
         if self.kind in ("const", "exppoly"):
             return
-        with ctx.workprec():
-            a, b = geometry.interval(self.interval)
-            margin = (b - a) * mp.mpf(margin_frac)
-            p = self.poly_part()
-            if not p:
-                raise InvalidWeight("zero polynomial density")
-            if real_root_count(p, (a - margin, b + margin), ctx):
-                raise InvalidWeight("polynomial density has a root near its interval")
-            if p((a + b) / 2) <= 0:
-                raise InvalidWeight("polynomial density is negative on its interval")
+        a, b = (_fraction(v) for v in geometry.interval(self.interval))
+        if not _positive_on([Fraction(c) for c in self.coeffs], a - (b - a) / 10, b + (b - a) / 10):
+            raise InvalidWeight("polynomial density is not positive near its interval")
+
+
+POSITIVITY_DEPTH = 64  # de Casteljau halvings before an undecided weight is refused
+
+
+def _fraction(v):
+    """The exact value of a finite mpf."""
+    sign, man, exp, _ = v._mpf_
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
+def _positive_on(coeffs, lo, hi):
+    """Whether the polynomial with ascending coefficients is positive on [lo, hi].
+
+    Its Bernstein coefficients on [lo, hi] are halved by de Casteljau steps: a
+    piece whose coefficients are all positive is accepted, and the answer is
+    no once a piece has an end value <= 0 or POSITIVITY_DEPTH halvings leave
+    one undecided.
+    """
+    coeffs = coeffs or [Fraction(0)]
+    q = [coeffs[-1]]  # power coefficients of p(lo + (hi - lo) t), by Horner
+    for c in reversed(coeffs[:-1]):
+        q = [c + lo * q[0]] + [lo * x + (hi - lo) * y for x, y in zip(q[1:], q)] + [(hi - lo) * q[-1]]
+    n = len(q) - 1
+    bern = [sum(Fraction(comb(i, k), comb(n, k)) * q[k] for k in range(i + 1)) for i in range(n + 1)]
+    pieces = [(bern, 0)]
+    while pieces:
+        bern, depth = pieces.pop()
+        if min(bern) > 0:
+            continue
+        if bern[0] <= 0 or bern[-1] <= 0 or depth == POSITIVITY_DEPTH:
+            return False
+        left, right = [], []
+        while bern:
+            left.append(bern[0])
+            right.append(bern[-1])
+            bern = [(x + y) / 2 for x, y in zip(bern, bern[1:])]
+        pieces += [(left, depth + 1), (right[::-1], depth + 1)]
+    return True
 
 
 def lebesgue_weights():
@@ -191,7 +227,7 @@ def moments(weight, geometry, k_max, ctx):
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    weight.validate(geometry, ctx)
+    weight.validate(geometry)
     with ctx.workprec():
         a, b = geometry.interval(weight.interval)
         deg = weight.poly_degree()
@@ -408,7 +444,7 @@ class AngelescoSystem:
         if self.weights[0].interval != 1 or self.weights[1].interval != 2:
             raise ValueError("weights must reference intervals 1 and 2 in order")
         for w in self.weights:
-            w.validate(geometry, self.ctx)
+            w.validate(geometry)
         self._moments = [[], []]
         self._solutions = {}
         self._sweep = (-1, None)
@@ -634,21 +670,3 @@ class NnrrTable:
                 entries[key] = tuple(mp.mpf(p) for p in parts[2:6])
         n_max = max(k[0] for k in entries)
         return cls(entries, n_max)
-
-
-def solution_to_json(sol, digits=30):
-    """JSON export of one MopSolution, coefficients as decimal strings."""
-    def poly_strs(p):
-        return None if p is None else [mp.nstr(c, digits) for c in p.coeffs]
-
-    doc = {
-        "n1": sol.index.n1,
-        "n2": sol.index.n2,
-        "p_monic": poly_strs(sol.p_monic),
-        "a1_poly": poly_strs(sol.a1_poly),
-        "a2_poly": poly_strs(sol.a2_poly),
-        "h1": mp.nstr(sol.h1, digits),
-        "h2": mp.nstr(sol.h2, digits),
-        "residual": mp.nstr(sol.residual, digits),
-    }
-    return json.dumps(doc, sort_keys=True, indent=2)

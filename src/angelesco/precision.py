@@ -47,14 +47,6 @@ class PrecisionContext:
         with self.workprec():
             return mp.mpf(2) ** (1 - self.mantissa_bits)
 
-    def mpf(self, x):
-        with self.workprec():
-            return mp.mpf(x)
-
-    def mpc(self, re, im=0):
-        with self.workprec():
-            return mp.mpc(re, im)
-
     def __repr__(self):
         return f"PrecisionContext(mantissa_bits={self.mantissa_bits})"
 
@@ -83,23 +75,11 @@ class Poly:
     def degree(self):
         return len(self.coeffs) - 1
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def __call__(self, x):
         acc = mp.mpf(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def deriv(self):
-        return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + [mp.mpf(0)] * (n - len(self.coeffs))
-        b = other.coeffs + [mp.mpf(0)] * (n - len(other.coeffs))
-        return Poly([x + y for x, y in zip(a, b)])
 
     def __sub__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
@@ -107,23 +87,13 @@ class Poly:
         b = other.coeffs + [mp.mpf(0)] * (n - len(other.coeffs))
         return Poly([x - y for x, y in zip(a, b)])
 
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            if not self or not other:
-                return Poly([])
-            out = [mp.mpf(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Poly(out)
-        return Poly([c * other for c in self.coeffs])
+    def __mul__(self, scalar):
+        return Poly([c * scalar for c in self.coeffs])
 
     __rmul__ = __mul__
 
     def shift_mul_x(self):
         """Return x * p(x)."""
-        if not self:
-            return Poly([])
         return Poly([mp.mpf(0)] + list(self.coeffs))
 
     def coeff(self, k):
@@ -137,27 +107,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({[mp.nstr(c, 8) for c in self.coeffs]})"
-
-
-def poly_divmod(num, den):
-    """Quotient and remainder of dense polynomial division."""
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(num.coeffs)
-    d = den.coeffs
-    dd = len(d) - 1
-    lead = d[-1]
-    if len(r) - 1 < dd:
-        return Poly([]), Poly(r)
-    q = [mp.mpf(0)] * (len(r) - dd)
-    for k in range(len(r) - 1, dd - 1, -1):
-        c = r[k] / lead
-        q[k - dd] = c
-        if c != 0:
-            for j in range(dd + 1):
-                r[k - dd + j] -= c * d[j]
-        r[k] = mp.mpf(0)
-    return Poly(q), Poly(r[:dd])
 
 
 # ---------------------------------------------------------------------------
@@ -378,54 +327,3 @@ def find_root(f, lo, hi, ctx, tol=None):
                 streak = streak + 1 if side == kept else 1
                 kept = side
         return (a + b) / 2
-
-
-# ---------------------------------------------------------------------------
-# Real root counts (Sturm sequences)
-# ---------------------------------------------------------------------------
-
-def _sturm_chain(p, zero_eps):
-    chain = [p, p.deriv()]
-    while chain[-1].degree >= 1:
-        _, rem = poly_divmod(chain[-2], chain[-1])
-        scale = rem.max_abs_coeff()
-        if scale <= zero_eps * max(mp.mpf(1), chain[-2].max_abs_coeff()):
-            break
-        rem = Poly([-c / scale for c in rem.coeffs])
-        chain.append(rem)
-    return chain
-
-
-def _sign_variations(chain, x, zero_eps):
-    signs = []
-    for q in chain:
-        v = q(x)
-        if abs(v) <= zero_eps * max(mp.mpf(1), q.max_abs_coeff()):
-            continue
-        signs.append(1 if v > 0 else -1)
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
-
-def real_root_count(p, interval, ctx):
-    """Number of distinct real roots of p in [a, b], by a Sturm sequence.
-
-    The sequence runs on the square-free part of p (p over its gcd with p'),
-    and an endpoint where p vanishes to rounding counts as a root. Intended
-    for modest degrees (weight positivity polynomials).
-    """
-    with ctx.workprec():
-        if not p:
-            raise ValueError("zero polynomial")
-        a, b = mp.mpf(interval[0]), mp.mpf(interval[1])
-        zero_eps = ctx.solve_tolerance
-        gcd = _sturm_chain(p, zero_eps)[-1]
-        psf = poly_divmod(p, gcd)[0] if gcd.degree >= 1 else p
-        chain = _sturm_chain(psf, zero_eps)
-        floor = zero_eps * max(mp.mpf(1), psf.max_abs_coeff())
-        count = sum(1 for e in (a, b) if abs(psf(e)) <= floor * (1 + abs(e)) ** psf.degree)
-        # the interior count starts just inside, off the endpoint roots
-        pad = max(b - a, mp.mpf(1)) * ctx.solve_tolerance
-        lo, hi = a + pad, b - pad
-        if lo < hi:
-            count += _sign_variations(chain, lo, zero_eps) - _sign_variations(chain, hi, zero_eps)
-        return count

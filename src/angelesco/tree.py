@@ -406,24 +406,6 @@ def spectrum_probe(truncation, intervals, epsilon, grid_step=0.01):
     }
 
 
-def eigenvalues_csv(eigs, digits=17):
-    lines = ["index,eigenvalue"]
-    for k, x in enumerate(eigs):
-        lines.append(f"{k},{float(x):.{digits}g}")
-    return "\n".join(lines) + "\n"
-
-
-def probe_report_json(report):
-    import json
-
-    return json.dumps({
-        "depth": report["depth"],
-        "epsilon": report["epsilon"],
-        "inside_fraction": report["inside_fraction"],
-        "max_coverage_gap": report["max_coverage_gap"],
-    }, sort_keys=True, indent=2)
-
-
 # ---------------------------------------------------------------------------
 # m-functions
 # ---------------------------------------------------------------------------

@@ -100,18 +100,16 @@ def test_nnrr_cache_without_errors_recomputes_them(tmp_path, capsys, monkeypatch
     monkeypatch.setenv("ANGELESCO_CACHE_DIR", str(cache))
     base = ["nnrr", "--geom=-2,-1,1,2", "--nmax", "2", "--bits", "128", "--out"]
     assert run_cli(base + [str(tmp_path / "cold.csv")], capsys)[0] == 0
-    # an entry as an older version wrote it: the table alone
+    # an entry holding the table alone is a miss
     (entry,) = cache.iterdir()
     full = entry.read_text()
     entry.write_text(full.partition(cli.ERRORS_HEADER)[0])
-    calls = _count_calls(monkeypatch, cli, "curve")
     assert run_cli(base + [str(tmp_path / "warm.csv")], capsys)[0] == 0
-    assert len(calls) > 0
-    assert json.loads((tmp_path / "warm.csv.report.json").read_text())["cache_hit"] is True
-    # recomputed from the cached 40-digit table, and appended to the entry
+    assert json.loads((tmp_path / "warm.csv.report.json").read_text())["cache_hit"] is False
+    # and is rewritten whole, as the cold run wrote it
+    assert entry.read_text() == full
     errors = (tmp_path / "warm.csv.errors.csv").read_text()
-    assert errors.splitlines()[0] == cli.ERRORS_HEADER
-    assert entry.read_text() == full.partition(cli.ERRORS_HEADER)[0] + errors
+    assert errors == (tmp_path / "cold.csv.errors.csv").read_text()
 
 
 def test_verify_mfun_one_sheet_evaluation_per_point(capsys, monkeypatch):

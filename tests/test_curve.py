@@ -581,6 +581,14 @@ def test_sheet_classification_random_sweep():
                 assert all(abs(ch[k] - mp.conj(chc[k])) == 0 for k in (0, 1, 2))
                 if z.imag > 0:
                     assert ch[0].imag > 0
+            # just above the real axis off the cuts, chi^(1) and chi^(2) are the
+            # roots in the windows [w1, w2] and [w3, w4], as at real z
+            for x in np.random.RandomState(7).uniform(-4, 4, size=12):
+                if _on_cut(cd, mp.mpf(x), ctx):
+                    continue
+                real, above = chi_eval(cd, x, ctx), chi_eval(cd, mp.mpc(x, "1e-20"), ctx)
+                for k in (1, 2):
+                    assert abs(above[k] - real[k]) < mp.mpf("1e-15")
 
 
 def test_pushed_soft_edge_density_vanishes():

@@ -13,7 +13,6 @@ from angelesco.mops import (
     lebesgue_weights,
     moments,
     reference_geometry,
-    solution_to_json,
     type1_mop,
 )
 from angelesco.precision import PrecisionContext
@@ -33,17 +32,33 @@ def test_geometry_validation():
     assert g.mirrored().as_tuple() == g.as_tuple()
 
 
-def test_weight_positivity_check():
-    g = reference_geometry()
-    w = WeightSpec("poly", coeffs=("-1.5", 1), interval=2)  # root at 1.5 inside [1,2]
-    with pytest.raises(InvalidWeight):
-        moments(w, g, 3, CTX)
-    w_ok = WeightSpec("poly", coeffs=(3, 1), interval=2)  # 3 + x > 0 near [1,2]
-    m = moments(w_ok, g, 2, CTX)
+@pytest.mark.parametrize("coeffs, accepted", [
+    pytest.param(("2.25", "-3", "1"), False, id="double-root-inside"),  # at 1.5, a halving point
+    pytest.param(("1.69", "-2.6", "1"), False, id="touching-double-root"),  # at 1.3, off them all
+    pytest.param(("-1", "1"), False, id="root-at-interval-end"),
+    pytest.param(("-0.95", "1"), False, id="root-inside-margin"),
+    pytest.param(("-0.89", "1"), True, id="root-beyond-margin"),
+    pytest.param(("-1.5", "1"), False, id="simple-root-inside"),
+    pytest.param(("1", "0", "1"), True, id="x2-plus-1"),
+    pytest.param(("0",), False, id="zero-constant"),
+    pytest.param(("-1",), False, id="negative-constant"),
+])
+def test_weight_positivity_check(coeffs, accepted):
+    # interval 2 of the reference geometry is [1, 2]; its 10% margin is [0.9, 2.1]
+    w = WeightSpec("poly", coeffs=coeffs, interval=2)
+    if accepted:
+        moments(w, reference_geometry(), 3, CTX)
+    else:
+        with pytest.raises(InvalidWeight):
+            moments(w, reference_geometry(), 3, CTX)
+
+
+def test_poly_weight_moments_closed_form():
+    w = WeightSpec("poly", coeffs=(3, 1), interval=2)  # 3 + x > 0 near [1,2]
+    m = moments(w, reference_geometry(), 2, CTX)
     with CTX.workprec():
         # integral of (3 + x) x^k over [1,2] has closed form
         assert abs(m[0] - (3 + mp.mpf(3) / 2)) < mp.mpf("1e-100")
-
 
 def test_moments_reference_values(g0):
     with CTX.workprec():
@@ -212,15 +227,6 @@ def test_table_csv_roundtrip(g0):
         for key, row in table.entries.items():
             for u, v in zip(row, back.get(key)):
                 assert abs(u - v) < mp.mpf("1e-35") * (1 + abs(u))
-
-
-def test_solution_json(g0):
-    import json
-
-    doc = json.loads(solution_to_json(g0.solution((1, 1))))
-    assert doc["n1"] == 1 and doc["n2"] == 1
-    assert len(doc["p_monic"]) == 3
-    assert doc["a1_poly"] is not None
 
 
 def test_perfectness_sweep_reference_and_asymmetric():

@@ -11,8 +11,6 @@ from angelesco.precision import (
     Poly,
     find_root,
     gauss_legendre,
-    poly_divmod,
-    real_root_count,
     solve_dense,
     sym_eig,
 )
@@ -249,33 +247,6 @@ def test_find_root_superlinear_with_bisection_guard():
     with ctx.workprec():
         assert abs(r) ** 5 <= ctx.solve_tolerance * 3
         assert len(calls) <= 2 * (mp.log(4 / (ctx.solve_tolerance * 3), 2) + 2)
-
-
-def test_poly_divmod_roundtrip():
-    with CTX.workprec():
-        a = Poly([1, 2, 3, 4])
-        b = Poly([-1, 1])
-        q, r = poly_divmod(a, b)
-        chk = q * b + r
-        assert max(abs(x - y) for x, y in zip(chk.coeffs, a.coeffs)) < CTX.eps * 64
-
-
-def test_real_roots_with_multiplicity():
-    with CTX.workprec():
-        p = Poly([1, 1]) * Poly([-1, 1]) * Poly([-1, 1])  # (x+1)(x-1)^2
-    # distinct roots: the double root counts once
-    assert real_root_count(p, (-2, 2), CTX) == 2
-    assert real_root_count(p, (0, 2), CTX) == 1
-    assert real_root_count(p, (-2, 0), CTX) == 1
-
-
-def test_real_roots_none_and_windowed():
-    assert real_root_count(Poly([1, 0, 1]), (-10, 10), CTX) == 0
-    x3_minus_x = Poly([0, -1, 0, 1])
-    assert real_root_count(x3_minus_x, ("0.5", 2), CTX) == 1
-    assert real_root_count(x3_minus_x, ("1.5", 2), CTX) == 0
-    # a root at an endpoint counts
-    assert real_root_count(x3_minus_x, (1, 2), CTX) == 1
 
 
 def test_precision_monotonicity_on_fixed_corpus():
