@@ -580,7 +580,9 @@ def _cubic_roots(curve_data, z, ctx):
     is real) is polished by Newton at context precision; the other two roots
     come from the deflated quadratic in cancellation-free form. For real z the
     polish runs in real arithmetic, so a complex pair is an exact conjugate
-    pair. mp.polyroots is the last resort when a residual misses its target.
+    pair. mp.polyroots is the last resort when a residual misses its target
+    (from |z| of about 1e7 on); for real z its roots are likewise returned as
+    real roots and at most one exact conjugate pair.
     """
     real_z = not isinstance(z, mp.mpc)
     c2, c1, c0 = _cubic_coefficients(curve_data.params(), z)
@@ -626,122 +628,78 @@ def _cubic_roots(curve_data, z, ctx):
     roots = [w] + pair
     if all(abs(f(r)) <= target for r in roots):
         return roots
-    return mp.polyroots([mp.mpf(1), c2, c1, c0], maxsteps=200,
-                        extraprec=ctx.mantissa_bits // 2)
-
-
-def _on_cut(curve_data, x, ctx):
-    g = curve_data.geometry
-    tol = ctx.solve_tolerance
-    if g.alpha1 - tol <= x <= curve_data.beta_c1 + tol:
-        return 1
-    if curve_data.alpha_c2 - tol <= x <= g.beta2 + tol:
-        return 2
-    return 0
-
-
-def _classify_real(curve_data, roots, ctx):
-    """Labels for three real roots by the critical-point windows."""
-    w1, w2, w3, w4 = curve_data.w_crit
-    pad = mp.sqrt(ctx.solve_tolerance) * max(1, abs(w4 - w1))
-    out = {}
-    rest = []
-    for r in roots:
-        rr = r.real
-        if w1 - pad <= rr <= w2 + pad and 1 not in out:
-            out[1] = rr
-        elif w3 - pad <= rr <= w4 + pad and 2 not in out:
-            out[2] = rr
-        else:
-            rest.append(rr)
-    if len(rest) != 1 or len(out) != 2:
-        raise ClassificationError("real root pattern did not match the sheet windows")
-    out[0] = rest[0]
-    return out
+    roots = mp.polyroots([mp.mpf(1), c2, c1, c0], maxsteps=200,
+                         extraprec=ctx.mantissa_bits // 2)
+    if not real_z:
+        return roots
+    # real coefficients: the root nearest the axis is real, and the other two
+    # are real or an exact conjugate pair, as their spread says
+    w, u, v = sorted(roots, key=lambda r: abs(mp.im(r)))
+    if abs(mp.im(u - v)) > abs(mp.re(u - v)):
+        u = mp.mpc(mp.re(u), abs(mp.im(u)))
+        return [mp.re(w), u, mp.conj(u)]
+    return [mp.re(r) for r in (w, u, v)]
 
 
 def chi_eval(curve_data, z, ctx, side=+1):
     """Sheet-labeled values of the inverse of R at z.
 
-    Returns {0: w, 1: w, 2: w}. For real z in the cuts the conjugate pair is
-    split by `side` (+1 = limit from the upper half-plane); at a branch point
-    the merged pair is returned under both labels. Im z < 0 gives the
-    conjugates of the values at conj(z).
+    Returns {0: w, 1: w, 2: w}. Im z < 0 gives the conjugates of the values
+    at conj(z). For Im z >= 0 the three roots are polished once and labeled
+    by one rule, from S(w) = A1/|w - B1|^2 + A2/|w - B2|^2, with
+    Im R(w) = Im w (1 - S(w)) and, on the real line, R'(w) = 1 - S(w):
 
-    For Im z > 0 the three roots are polished once and labeled by the
-    half-plane rule: Im R(w) = Im w (1 - S(w)) with
-    S(w) = A1/|w - B1|^2 + A2/|w - B2|^2, so chi^(0) is the one root above the
-    real axis and chi^(1), chi^(2) are the two below it, where S > 1. S < 1 on
-    the whole line Re w = wm through the zero of R'' between the poles (S
-    peaks at its real point, where R'(wm) > 0), so chi^(1) lies left of that
-    line and chi^(2) right of it: they are the lower roots in increasing order
-    of real part. A collapsed sheet (A_k = 0, at c = 0 or 1) is the root
-    nearest B_k, since chi^(k) = B_k there.
+    - a collapsed sheet (A_k = 0, at c = 0 or 1) is the root nearest B_k,
+      since chi^(k) = B_k there;
+    - chi^(0) is the root with the largest side Im w, where side = +1 for
+      Im z > 0: the one root above the real axis, and on a cut the member of
+      the conjugate pair in the side's half-plane (+1 = limit from above);
+    - if that is tied, all roots are real (off the cuts, or at a branch
+      point), and chi^(0) is the root with the least S, the one real root
+      where R' > 0;
+    - chi^(1) and chi^(2) are the other two roots by increasing real part:
+      S < 1 on the line Re w = wm through the zero of R'' between the poles,
+      so chi^(1) lies left of it and chi^(2) right of it.
+
+    On a cut the tie-break is exact: `_cubic_roots` returns an exact
+    conjugate pair at real z, however narrow the support. At a branch point
+    the merged root is labeled by whichever of its two computed copies the
+    rule picks; both are within the square-root rounding floor of it (the
+    cube root at the triple point of c = 0 or 1).
 
     Domain: every z whose cubic has finite coefficients in double precision
-    (DomainError otherwise). ClassificationError is raised when real roots
-    off the cuts do not fit the sheet windows, and, for Im z > 0, when two
-    roots of uncollapsed sheets lie within 2^(4 - bits/2) of the roots' scale,
-    the square-root rounding floor below which the roots near a branch point
-    do not resolve the sign of Im w. Directly above a branch point that is
-    Im z below about 2^(10 - bits) on the reference geometry.
+    (DomainError otherwise); every real z is labeled. ClassificationError is
+    raised for Im z > 0 when two roots of uncollapsed sheets lie within
+    2^(4 - bits/2) of the roots' scale, the square-root rounding floor below
+    which the roots near a branch point do not resolve the sign of Im w.
+    Directly above a branch point that is Im z below about 2^(10 - bits) on
+    the reference geometry.
     """
     with ctx.workprec():
         z = mp.mpc(z)
         if z.imag < 0:
             labels = chi_eval(curve_data, mp.conj(z), ctx)
             return {k: mp.conj(w) for k, w in labels.items()}
-        roots = _cubic_roots(curve_data, z.real if z.imag == 0 else z, ctx)
-        if z.imag > 0:
-            return _classify_upper(curve_data, roots, ctx)
-        cut = _on_cut(curve_data, z.real, ctx)
-        chop = mp.sqrt(ctx.solve_tolerance) * max(1, *(abs(r) for r in roots))
-        if cut == 0:
-            roots = [r.real if abs(r.imag) <= chop else r for r in roots]
-            if any(isinstance(r, mp.mpc) for r in roots):
-                raise ClassificationError("unexpected complex pair off the cuts")
-            return _classify_real(curve_data, [mp.mpc(r) for r in roots], ctx)
-        reals = [r for r in roots if abs(r.imag) <= chop]
-        pair = [r for r in roots if abs(r.imag) > chop]
-        if len(pair) != 2:
-            # at a branch point the pair degenerates; return merged labels
-            vals = sorted((r.real for r in roots))
-            out = {}
-            if cut == 1:
-                out[2] = max(vals)
-                out[0] = out[1] = vals[0] if abs(vals[0] - vals[1]) < chop else vals[1]
-            else:
-                out[1] = min(vals)
-                out[0] = out[2] = vals[-1]
-            return out
-        upper = pair[0] if pair[0].imag > 0 else pair[1]
-        lower = pair[0] if pair[0].imag < 0 else pair[1]
-        out = {0: upper if side >= 0 else lower}
-        other = 1 if cut == 1 else 2
-        out[other] = lower if side >= 0 else upper
-        third = 2 if cut == 1 else 1
-        out[third] = reals[0].real
+        real_z = z.imag == 0
+        roots = _cubic_roots(curve_data, z.real if real_z else z, ctx)
+        A1, A2, B1, B2 = curve_data.params()
+        out = {}
+        for k, A, B in ((1, A1, B1), (2, A2, B2)):
+            if A == 0:
+                out[k] = roots.pop(min(range(len(roots)), key=lambda i: abs(roots[i] - B)))
+        if not real_z:
+            side = +1
+            floor = mp.ldexp(max(1, *(abs(r) for r in roots)), 4 - ctx.mantissa_bits // 2)
+            if min(abs(u - v) for i, u in enumerate(roots) for v in roots[:i]) <= floor:
+                raise ClassificationError("two roots closer than the square-root rounding floor; "
+                                          "Im z is too small this near a branch point")
+        roots.sort(key=lambda r: side * mp.im(r), reverse=True)
+        if mp.im(roots[0]) == mp.im(roots[1]):
+            roots.sort(key=lambda w: sum(A / abs(w - B) ** 2
+                                         for A, B in ((A1, B1), (A2, B2)) if A))
+        out[0] = roots[0]
+        out.update(zip((k for k in (1, 2) if k not in out), sorted(roots[1:], key=mp.re)))
         return out
-
-
-def _classify_upper(curve_data, roots, ctx):
-    """Labels for the three roots at Im z > 0 by the half-plane rule (see chi_eval)."""
-    A1, A2, B1, B2 = curve_data.params()
-    roots, out = list(roots), {}
-    for k, A, B in ((1, A1, B1), (2, A2, B2)):
-        if A == 0:
-            out[k] = roots.pop(min(range(len(roots)), key=lambda i: abs(roots[i] - B)))
-    floor = mp.ldexp(max(1, *(abs(r) for r in roots)), 4 - ctx.mantissa_bits // 2)
-    if min(abs(u - v) for i, u in enumerate(roots) for v in roots[:i]) <= floor:
-        raise ClassificationError("two roots closer than the square-root rounding floor; "
-                                  "Im z is too small this near a branch point")
-    upper = [r for r in roots if r.imag > 0]
-    if len(upper) != 1:
-        raise ClassificationError("not exactly one root above the real axis")
-    lower = sorted((r for r in roots if not r.imag > 0), key=lambda r: r.real)
-    out[0] = upper[0]
-    out.update(zip((k for k in (1, 2) if k not in out), lower))
-    return out
 
 
 def h_eval_w(curve_data, w):
@@ -817,8 +775,8 @@ def equilibrium(curve_data, ctx):
         V^{mu_i}(x) = sum_k r_k log|chi^(i)(x) - B_k| - r_i log A_i - r_j log|B1 - B2|.
 
     A collapsed support (zero mass) is skipped. Raises InternalInconsistency
-    for a mass off (c, 1 - c) by 1e-6 or a density below -1e-12; the
-    densities raise DomainError at a hard edge, where they are infinite.
+    for a mass off (c, 1 - c) by 1e-6 of itself or a density below -1e-12;
+    the densities raise DomainError at a hard edge, where they are infinite.
     """
     wctx = PrecisionContext(min(ctx.mantissa_bits, EQ_WORK_BITS))
     cd = curve_data
@@ -856,7 +814,7 @@ def equilibrium(curve_data, ctx):
     with wctx.workprec():
         expect = (cd.c, 1 - cd.c)
         for got, want in zip((m1, m2), expect):
-            if abs(got - want) > mp.mpf("1e-6"):
+            if abs(got - want) > mp.mpf("1e-6") * want:
                 raise InternalInconsistency(
                     f"equilibrium mass {mp.nstr(got, 10)} far from {mp.nstr(want, 10)}")
 

@@ -161,19 +161,6 @@ class MultiIndex:
     def norm(self):
         return self.n1 + self.n2
 
-    @property
-    def ray_fraction(self):
-        """c = n1/|n|; the direction parameter of the index."""
-        if self.norm == 0:
-            raise ValueError("ray fraction undefined at (0,0)")
-        return mp.mpf(self.n1) / self.norm
-
-    @property
-    def marginal_scale(self):
-        """1/min(n1,n2), or None when a component vanishes."""
-        m = min(self.n1, self.n2)
-        return None if m == 0 else mp.mpf(1) / m
-
     def plus(self, j):
         return MultiIndex(self.n1 + (j == 1), self.n2 + (j == 2))
 

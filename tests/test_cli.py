@@ -1,9 +1,11 @@
 import importlib
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
+import tomllib
 
 import mpmath as mp
 import pytest
@@ -210,6 +212,24 @@ def test_verify_spectrum_refuses_depth30_before_allocating():
                           preexec_fn=limit, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "more vertices than the cap" in proc.stderr
+
+
+def test_cli_import_loads_only_runtime_dependencies():
+    # scipy and the like stay out of the program's import: beyond the
+    # standard library, importing the CLI may load only what importing the
+    # runtime dependencies of pyproject.toml loads
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        deps = [re.match(r"[A-Za-z0-9_]+", d).group(0)
+                for d in tomllib.load(fh)["project"]["dependencies"]]
+    code = (f"import sys; import {', '.join(deps)}; base = set(sys.modules); "
+            "import angelesco.cli; print(' '.join(sorted(set(sys.modules) - base)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name.split(".")[0] for name in proc.stdout.split()}
+    assert loaded - set(sys.stdlib_module_names) == {"angelesco"}
 
 
 def test_verify_limits_small(capsys):

@@ -24,16 +24,20 @@ from angelesco.curve import (
     upsilon,
 )
 from angelesco.curve import (
-    _classify_real,
     _critical_points,
     _mirror_curve,
     _newton,
-    _on_cut,
     _R,
     _Rp,
     _Rpp,
 )
-from angelesco.errors import ClassificationError, DomainError, RegimeError, SolveFailure
+from angelesco.errors import (
+    ClassificationError,
+    DomainError,
+    InternalInconsistency,
+    RegimeError,
+    SolveFailure,
+)
 from angelesco.mops import Geometry, reference_geometry
 from angelesco.precision import PrecisionContext, gauss_legendre
 
@@ -434,8 +438,25 @@ def _oracle_match(prev, roots):
     return [roots[best[k]] for k in range(3)]
 
 
+def _oracle_cut(cd, x):
+    """1 or 2 for real x on the first or second support, 0 off them."""
+    (a1, b1), (a2, b2) = cd.supports()
+    return 1 if a1 <= x <= b1 else 2 if a2 <= x <= b2 else 0
+
+
+def _oracle_windows(cd, roots):
+    """Labels of three real roots: chi^(1) in [w1, w2], chi^(2) in [w3, w4], chi^(0) outside."""
+    w1, w2, w3, w4 = cd.w_crit
+    labels = {}
+    for x in (mp.re(r) for r in roots):
+        k = 1 if w1 <= x <= w2 else 2 if w3 <= x <= w4 else 0
+        assert k not in labels, "two real roots in one critical-point window"
+        labels[k] = x
+    return labels
+
+
 def _oracle_chi(cd, z, ctx, side=+1):
-    """Sheet labels by chi_eval's former all-context-precision route.
+    """Sheet labels by a route apart from chi_eval's.
 
     The roots come from _oracle_roots, apart from the program's root solver.
 
@@ -448,9 +469,9 @@ def _oracle_chi(cd, z, ctx, side=+1):
         z = mp.mpc(z)
         if z.imag == 0:
             roots = _oracle_roots(cd, z.real, ctx.mantissa_bits)
-            cut = _on_cut(cd, z.real, ctx)
+            cut = _oracle_cut(cd, z.real)
             if cut == 0:
-                return _classify_real(cd, roots, ctx)
+                return _oracle_windows(cd, roots)
             lower, real, upper = sorted(roots, key=lambda r: r.imag)
             return {0: upper if side >= 0 else lower, cut: lower if side >= 0 else upper,
                     3 - cut: real.real}
@@ -581,14 +602,60 @@ def test_sheet_classification_random_sweep():
                 assert all(abs(ch[k] - mp.conj(chc[k])) == 0 for k in (0, 1, 2))
                 if z.imag > 0:
                     assert ch[0].imag > 0
-            # just above the real axis off the cuts, chi^(1) and chi^(2) are the
-            # roots in the windows [w1, w2] and [w3, w4], as at real z
+            # just above the real axis off the cuts, each label is the one at
+            # real z, where chi^(1) and chi^(2) are the roots in the windows
+            # [w1, w2] and [w3, w4]
             for x in np.random.RandomState(7).uniform(-4, 4, size=12):
-                if _on_cut(cd, mp.mpf(x), ctx):
+                if _oracle_cut(cd, mp.mpf(x)):
                     continue
                 real, above = chi_eval(cd, x, ctx), chi_eval(cd, mp.mpc(x, "1e-20"), ctx)
-                for k in (1, 2):
+                assert _oracle_windows(cd, real.values()) == real
+                for k in (0, 1, 2):
                     assert abs(above[k] - real[k]) < mp.mpf("1e-15")
+            # on a cut, side = +-1 gives the limit from Im z = +-1e-20, label by label
+            for a, b in cd.supports():
+                for v in np.random.RandomState(11).uniform(0.01, 0.99, size=6):
+                    x = a + mp.mpf(v) * (b - a)
+                    for s in (1, -1):
+                        on = chi_eval(cd, x, ctx, side=s)
+                        off = chi_eval(cd, x + s * mp.mpc(0, "1e-20"), ctx)
+                        for k in (0, 1, 2):
+                            assert abs(on[k] - off[k]) < mp.mpf("1e-15")
+                        assert s * on[0].imag > 0
+
+
+def test_chi_eval_through_the_polyroots_fallback(monkeypatch):
+    # seeds at 1e6 leave the polish far from every root, so the roots come
+    # from mp.polyroots, here with the rounding noise it may leave: an
+    # imaginary part on a real root and a pair one unit off conjugate. Real
+    # roots still come out real and a pair exactly conjugate, so the labels
+    # on the cuts and off them are those of the polished route
+    ctx = PrecisionContext(128)
+    cd = curve(G0, "0.3", ctx, with_dc=False)
+    module = sys.modules["angelesco.curve"]
+    points = [(mp.mpf("-1.5"), 1), (mp.mpf("1.25"), 2), (mp.mpf(0), 0), (mp.mpf(3), 0)]
+    ref = {(x, s): chi_eval(cd, x, ctx, side=s) for x, _ in points for s in (1, -1)}
+    calls = []
+    polyroots = mp.polyroots
+
+    def noisy(*args, **kwargs):
+        calls.append(args)
+        w, u, v = sorted(polyroots(*args, **kwargs), key=lambda r: abs(mp.im(r)))
+        return [mp.mpc(w, "1e-45"), u, v * (1 + mp.eps)]
+
+    monkeypatch.setattr(module, "_double_roots", lambda *coeffs: [complex(1e6)] * 3)
+    monkeypatch.setattr(module.mp, "polyroots", noisy)
+    for x, cut in points:
+        for s in (1, -1):
+            ch = chi_eval(cd, x, ctx, side=s)
+            with ctx.workprec():
+                _assert_labels_agree(ch, ref[x, s], 128)
+                if cut:
+                    assert ch[0] == mp.conj(ch[cut]) and s * ch[0].imag > 0
+                    assert isinstance(ch[3 - cut], mp.mpf)
+                else:
+                    assert all(isinstance(ch[k], mp.mpf) for k in (0, 1, 2))
+    assert len(calls) == 8
 
 
 def test_pushed_soft_edge_density_vanishes():
@@ -715,6 +782,31 @@ def test_equilibrium_single_interval_exact(bits, geo):
                 ell_full, ell_point = eq.ell1, eq.ell2
             assert abs(ell_full - 2 * robin) <= tol
             assert abs(ell_point - (robin - green)) <= tol
+
+
+@pytest.mark.parametrize("bits,c", [(128, "1e-11"), (192, "1e-15"), (128, "0.9999999999")])
+def test_equilibrium_masses_on_narrow_pushed_supports(bits, c):
+    # the on-cut pair of a support about 4 c |w2(alpha1)| wide is an exact
+    # conjugate pair, however small its imaginary part, so the density is
+    # positive across the support and the mass is c (or 1 - c) to 1e-6 of itself
+    ctx = PrecisionContext(bits)
+    cd = curve(G0, c, ctx, with_dc=False)
+    eq = equilibrium(cd, ctx)
+    with ctx.workprec():
+        for got, want in zip(eq.masses, (cd.c, 1 - cd.c)):
+            assert abs(got - want) <= mp.mpf("1e-6") * want
+
+
+def test_equilibrium_mass_certificate_is_relative():
+    # the densities run at 160 bits; at the Gauss node nearest each edge of
+    # a 1.4e-19-wide support (1.2e-8 of the width in) the pair's imaginary
+    # part is below about 2^-80, where _cubic_roots takes it for a double
+    # root, so the density reads 0 there and the mass is 3.6e-4 of itself
+    # short, an absolute error far under 1e-6
+    ctx = PrecisionContext(256)
+    cd = curve(G0, "1e-20", ctx, with_dc=False)
+    with pytest.raises(InternalInconsistency, match="equilibrium mass"):
+        equilibrium(cd, ctx)
 
 
 @settings(max_examples=12, deadline=None)

@@ -70,12 +70,8 @@ def test_moments_reference_values(g0):
 def test_multi_index_helpers():
     n = MultiIndex(3, 1)
     assert n.norm == 4
-    with CTX.workprec():
-        assert abs(n.ray_fraction - mp.mpf(3) / 4) == 0
-        assert n.marginal_scale == 1
     assert n.plus(2).as_pair() == (3, 2)
     assert n.minus(1).as_pair() == (2, 1)
-    assert MultiIndex(2, 0).marginal_scale is None
     with pytest.raises(ValueError):
         MultiIndex(-1, 0)
 

@@ -1,4 +1,3 @@
-import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -545,9 +544,3 @@ def test_computed_operator_essential_spectrum(computed):
     assert rep["dim"] == 2047
     assert rep["inside_fraction"] >= 0.9
     assert rep["max_coverage_gap"] < 0.05
-
-
-def test_no_scipy_at_import():
-    code = "import sys, angelesco.cli; print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
