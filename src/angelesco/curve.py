@@ -582,7 +582,10 @@ def _cubic_roots(curve_data, z, ctx):
     polish runs in real arithmetic, so a complex pair is an exact conjugate
     pair. mp.polyroots is the last resort when a residual misses its target
     (from |z| of about 1e7 on); for real z its roots are likewise returned as
-    real roots and at most one exact conjugate pair.
+    real roots and at most one exact conjugate pair. Its extra precision,
+    bits/2 + 2 log2 of the largest coefficient, covers the spread between
+    the root near z and the two near the intervals, so that it converges at
+    large |z| (probed to 1e300 at 128 and 512 bits).
     """
     real_z = not isinstance(z, mp.mpc)
     c2, c1, c0 = _cubic_coefficients(curve_data.params(), z)
@@ -629,7 +632,7 @@ def _cubic_roots(curve_data, z, ctx):
     if all(abs(f(r)) <= target for r in roots):
         return roots
     roots = mp.polyroots([mp.mpf(1), c2, c1, c0], maxsteps=200,
-                         extraprec=ctx.mantissa_bits // 2)
+                         extraprec=ctx.mantissa_bits // 2 + 2 * mp.mag(scale))
     if not real_z:
         return roots
     # real coefficients: the root nearest the axis is real, and the other two
@@ -673,7 +676,11 @@ def chi_eval(curve_data, z, ctx, side=+1):
     2^(4 - bits/2) of the roots' scale, the square-root rounding floor below
     which the roots near a branch point do not resolve the sign of Im w.
     Directly above a branch point that is Im z below about 2^(10 - bits) on
-    the reference geometry.
+    the reference geometry. The scale is the largest root, about |z| for
+    large z, so the same error is raised off the real axis once |z| exceeds
+    about 2^(bits/2 - 4) times the gap of the two roots near the intervals:
+    at 128 bits on the reference geometry, at 1e20 + i and 1e20 i, though not
+    at 1e18 + i or at any real z.
     """
     with ctx.workprec():
         z = mp.mpc(z)

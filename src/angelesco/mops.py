@@ -4,6 +4,8 @@ Moments, type I/II polynomials from dense moment solves, zero localization,
 the two remainder functions whose large-z decay exponents certify the
 orthogonality counts, and the nearest-neighbor recurrence coefficients from
 an O(L^2) sweep of the compatibility relations, certified by orthogonality.
+The sweep (Stieltjes marginals, compatibility relations, certificate walks)
+runs on fixed-point Python integers; mpf values enter and leave at its edges.
 """
 
 from dataclasses import dataclass, field
@@ -234,14 +236,86 @@ def moments(weight, geometry, k_max, ctx):
         return out
 
 
+def _to_fixed(v, w):
+    """v 2^w for a finite mpf v, rounded to an integer half away from zero (so
+    -v gives the negative)."""
+    sign, man, exp, _ = v._mpf_
+    e = exp + w
+    x = man << e if e >= 0 else (man + (1 << (-e - 1))) >> -e
+    return -x if sign else x
+
+
+def _shift(x, k):
+    """x 2^k, floored."""
+    return x << k if k >= 0 else x >> -k
+
+
+def _rescale(lanes, s):
+    """Entry k of every lane times 2^-s[k], floored."""
+    return [[u >> k if k >= 0 else u << -k for u, k in zip(lane, s)] for lane in lanes]
+
+
+def _div(x, y):
+    """x / y rounded to the nearest integer, for y > 0."""
+    return (2 * x + y) // (2 * y)
+
+
+def _weight_scale(lams, w):
+    """The lams as integers, scaled by a common power of two so the smallest keeps w bits."""
+    low = min(mp.mag(lam) for lam in lams)
+    return [_to_fixed(lam, w - low) for lam in lams]
+
+
+_mul = int.__mul__
+
+
+def _stieltjes(ts, lams, level, wp):
+    """Monic Jacobi coefficients (alpha_k, beta_k), k <= level, of the measure
+    sum lam_i delta(t_i) on [-1, 1], as integers times 2^wp (beta_0 = 0).
+
+    The loop runs on fixed-point integers: t_i and alpha are scaled by 2^wp,
+    q_k = 2^k p_k (O(1) on [-1, 1]) by 2^wp times one shared power of two, and
+    each lam_i by the power of two that gives the smallest lam wp bits. The
+    norms sum lam q_k^2 and moments sum lam q_k^2 t are exact integers; only
+    the recurrence q_{k+1} = 2 (t - alpha_k) q_k - 4 beta_k q_{k-1} (floored)
+    and the two quotients (rounded) lose, each under one unit of 2^-wp. A
+    norm whose length drifts 64 bits from its start rescales q_k and q_{k-1}
+    together, so no weight's dynamic range under- or overflows."""
+    T, L = [_to_fixed(t, wp) for t in ts], _weight_scale(lams, wp)
+    target = sum(L).bit_length() + 2 * wp
+    Q, Qp = [1 << wp] * len(T), [0] * len(T)  # q_k and q_{k-1}, one scale
+    alphas, betas, N_prev, drift = [], [], None, 0
+    for k in range(level + 1):
+        S = list(map(_mul, L, map(_mul, Q, Q)))
+        N = sum(S)
+        if abs(N.bit_length() - target) > 64:
+            d = (N.bit_length() - target) // 2
+            Q, Qp = [_shift(q, -d) for q in Q], [_shift(q, -d) for q in Qp]
+            drift += d
+            S = list(map(_mul, L, map(_mul, Q, Q)))
+            N = sum(S)
+        A = _div(sum(map(_mul, S, T)), N)
+        B = _div(_shift(N, wp + 2 * drift - 2), N_prev) if k else 0
+        alphas.append(A)
+        betas.append(B)
+        if k < level:
+            Q, Qp = [((t - A) * q - 2 * B * u) >> (wp - 1) for t, q, u in zip(T, Q, Qp)], Q
+        N_prev, drift = N, 0
+    return alphas, betas
+
+
 def jacobi_marginal(weight, geometry, level, ctx):
     """(xs, lams, alphas, betas): the m-point Gauss-Legendre discretisation
     of the measure and its monic Jacobi coefficients, x p_k = p_{k+1} +
     alphas[k] p_k + betas[k] p_{k-1} for k <= level (betas[0] = 0), by
     Stieltjes' procedure (Gautschi 2004) on t in [-1, 1], where a symmetric
-    density gives alpha_k = 0 exactly. m = level + deg/2 + 2 for 'const' and
-    'poly' weights is exact for the sweep and its certificate; 'exppoly'
-    takes 64 + 2*(level + deg), as in `moments`."""
+    density gives alpha_k = 0 exactly (the rounded quotient absorbs the
+    floored recurrence's asymmetry, far below a unit). m = level + deg/2 + 2
+    for 'const' and 'poly' weights is exact for the sweep and its
+    certificate; 'exppoly' takes 64 + 2*(level + deg), as in `moments`. The
+    loop runs on
+    fixed-point integers (`_stieltjes`) with bits + 20 + bit_length(level)
+    bits; nodes, weights and coefficients are mpf at the context precision."""
     with ctx.workprec():
         deg = weight.poly_degree()
         m = 64 + 2 * (level + deg) if weight.kind == "exppoly" else level + deg // 2 + 2
@@ -250,90 +324,126 @@ def jacobi_marginal(weight, geometry, level, ctx):
         half, mid = (b - a) / 2, (b + a) / 2
         xs = [mid + half * t for t in ts]
         lams = [half * w * weight.density(x) for w, x in zip(gl_weights, xs)]
-        alphas, betas = [], []
-        p, p_prev, norm_prev = [mp.mpf(1)] * m, [mp.mpf(0)] * m, None
-        for k in range(level + 1):
-            sq = [lam * v * v for lam, v in zip(lams, p)]
-            norm = mp.fsum(sq)
-            alpha = mp.fsum(s * t for s, t in zip(sq, ts)) / norm
-            beta = norm / norm_prev if k else mp.mpf(0)
-            alphas.append(mid + half * alpha)
-            betas.append(half * half * beta)
-            p, p_prev = [(t - alpha) * v - beta * u for t, v, u in zip(ts, p, p_prev)], p
-            norm_prev = norm
-        return xs, lams, alphas, betas
+        wp = ctx.mantissa_bits + 20 + level.bit_length()
+        alphas, betas = _stieltjes(ts, lams, level, wp)
+        return (xs, lams, [mid + half * mp.mpf((v, -wp)) for v in alphas],
+                [half * half * mp.mpf((v, -wp)) for v in betas])
 
 
-def _nnrr_sweep(marginals, level, floor):
-    """{(n1, n2): (a1, a2, b1, b2)} for every |n| <= level.
+def _sweep_bits(geometry, level, ctx):
+    """Fixed-point bits of the sweep and its walks: the context's, 20 guard
+    bits, bit_length(level) for the rounding of level steps, and twice the
+    bits by which a quarter of the shorter interval falls below 1, since its
+    a's scale as its square."""
+    quarter = min(b - a for a, b in (geometry.interval(1), geometry.interval(2))) / 4
+    return ctx.mantissa_bits + 20 + level.bit_length() + max(0, -2 * mp.mag(quarter))
+
+
+def _nnrr_sweep(marginals, level, floor, w):
+    """{(n1, n2): (a1, a2, b1, b2)} for every |n| <= level, as integers times 2^w.
 
     The marginal lines are each measure's Jacobi coefficients. The other a's
     on level s come from the ratio relation (Van Assche 2011) a_{n+e_j,i} =
     a_{n,i} (b_{n,j} - b_{n,i}) / (b_{n-e_i,j} - b_{n-e_i,i}); with D =
     b_{n,1} - b_{n,2} and S = sum_k (a_{n+e2,k} - a_{n+e1,k}) at each n on
     level s-1, b_{n+e2,1} = b_{n,1} - S/D and b_{n+e1,2} = b_{n,2} - S/D.
-    |D| below `floor` raises NormalityFailure."""
+    Each quotient is floored, an error under one unit of 2^-w. |D| below the
+    mpf `floor` raises NormalityFailure."""
     (_, _, al1, be1), (_, _, al2, be2) = marginals
-    zero = mp.mpf(0)
-    out = {(0, 0): (zero, zero, al1[0], al2[0])}
+    al1, be1, al2, be2 = ([_to_fixed(v, w) for v in seq] for seq in (al1, be1, al2, be2))
+    floor = _to_fixed(floor, w)
+    # level s as lists over n1 = 0..s, with d = b1 - b2 on levels s and s - 1
+    a1, a2, b1, b2, d, d_prev = [0], [0], al1[:1], al2[:1], [al1[0] - al2[0]], []
+    out = {(0, 0): (0, 0, al1[0], al2[0])}
     for s in range(1, level + 1):
-        a = {(s, 0): (be1[s], zero), (0, s): (zero, be2[s])}
-        for n1 in range(1, s):
-            n2 = s - n1
-            p, q, r = out[(n1, n2 - 1)], out[(n1 - 1, n2 - 1)], out[(n1 - 1, n2)]
-            d = q[2] - q[3]
-            a[(n1, n2)] = (p[0] * (p[2] - p[3]) / d, r[1] * (r[2] - r[3]) / d)
-        b1, b2 = {(s, 0): al1[s]}, {(0, s): al2[s]}
-        for n1 in range(s):
-            n2 = s - 1 - n1
-            _, _, c1, c2 = out[(n1, n2)]
-            if abs(c1 - c2) < floor:
-                raise NormalityFailure(f"b_(n,1) - b_(n,2) vanishes at {(n1, n2)}")
-            u, v = a[(n1, n2 + 1)], a[(n1 + 1, n2)]
-            t = (u[0] + u[1] - v[0] - v[1]) / (c1 - c2)
-            b1[(n1, n2 + 1)], b2[(n1 + 1, n2)] = c1 - t, c2 - t
-        for key, (x, y) in a.items():
-            out[key] = (x, y, b1[key], b2[key])
+        if min(map(abs, d)) < floor:
+            n1 = next(k for k, v in enumerate(d) if abs(v) < floor)
+            raise NormalityFailure(f"b_(n,1) - b_(n,2) vanishes at {(n1, s - 1 - n1)}")
+        a1 = [0] + [x * y // z for x, y, z in zip(a1[1:], d[1:], d_prev)] + [be1[s]]
+        a2 = [be2[s]] + [x * y // z for x, y, z in zip(a2, d, d_prev)] + [0]
+        sums = list(map(int.__add__, a1, a2))
+        t = [((u - v) << w) // z for u, v, z in zip(sums, sums[1:], d)]
+        b1 = list(map(int.__sub__, b1, t)) + [al1[s]]
+        b2 = [al2[s]] + list(map(int.__sub__, b2, t))
+        d, d_prev = list(map(int.__sub__, b1, b2)), d
+        out.update(((n1, s - n1), row) for n1, row in enumerate(zip(a1, a2, b1, b2)))
     return out
 
 
-def _walk(entries, n, zs, first=1):
-    """P_n at each z by the recurrence along the path taking its e_first
-    steps first (on interval `first` the stable marginal recurrence; the
-    other steps add zeros far from it). The state is P_m, P_{m-e1}, P_{m-e2};
-    after m -> m + e_j, P_{m+e_j-e_i} = P_m - (b_{m-e_i,j} - b_{m-e_i,i})
-    P_{m-e_i}, the difference of the two recurrences at m - e_i."""
+def _walk(entries, n, xs, w, first=1, ys=None):
+    """P_n at the points x + iy by the recurrence along the path taking its
+    e_first steps first (on interval `first` the stable marginal recurrence;
+    the other steps add zeros far from it). The state is P_m, P_{m-e1},
+    P_{m-e2}; after m -> m + e_j, P_{m+e_j-e_i} = P_m - (b_{m-e_i,j} -
+    b_{m-e_i,i}) P_{m-e_i}, the difference of the two recurrences at m - e_i.
+
+    Points and entries are integers times 2^w; ys is None for real points.
+    Returns (lanes, es): at point k the real part of P_n is lanes[0][k]
+    2^es[k], and for complex points the imaginary part is lanes[1][k] 2^es[k].
+    The state at one point shares one binary exponent, checked every step
+    and renormalised once |P_m| there leaves [2^(w-8), 2^(w+64)). The
+    recurrence never mixes points, so each keeps its own relative precision,
+    whatever the spread of |P_n| over the points: with an `exppoly` weight on
+    [1, 100] it spans hundreds of bits, and one exponent shared by all points
+    left the certificate no correct digit at (30, 30) and 128 bits. Each step
+    floors once, under one unit of 2^-w of that point's state."""
     f = first - 1
-    m, p, down = [0, 0], [mp.mpf(1)] * len(zs), [None, None]
+    p = [[1 << w] * len(xs)] + ([[0] * len(xs)] if ys else [])
+    zero = [[0] * len(xs) for _ in p]
+    m, down, es = [0, 0], [zero, zero], [-w] * len(xs)  # a_(m,k) = 0 while m_k = 0
     for j in [f] * n.component(first) + [1 - f] * (n.norm - n.component(first)):
         i = 1 - j
-        row = entries[tuple(m)]
-        new = [(z - row[2 + j]) * v for z, v in zip(zs, p)]
-        for k in (0, 1):
-            if m[k]:
-                new = [w - row[k] * v for w, v in zip(new, down[k])]
+        a1, a2, *b = entries[tuple(m)]
+        zb = [x - b[j] for x in xs]
+        if ys:
+            re, im = p
+            zp = [map(int.__sub__, map(_mul, zb, re), map(_mul, ys, im)),
+                  map(int.__add__, map(_mul, zb, im), map(_mul, ys, re))]
+        else:
+            zp = [map(_mul, zb, p[0])]
+        new = [[(u - a1 * v1 - a2 * v2) >> w for u, v1, v2 in zip(*lanes)]
+               for lanes in zip(zp, *down)]
         if m[i]:
             q = entries[(m[0] - (i == 0), m[1] - (i == 1))]
             c = q[2 + j] - q[2 + i]
-            down[i] = [v - c * u for v, u in zip(p, down[i])]
+            down[i] = [[v - (c * u >> w) for v, u in zip(pl, dl)] for pl, dl in zip(p, down[i])]
         down[j], p = p, new
         m[j] += 1
-    return p
+        mag = map(abs, p[0])
+        for lane in p[1:]:
+            mag = map(int.__or__, mag, map(abs, lane))
+        s = [x.bit_length() - w for x in mag]
+        if max(s) > 64 or min(s) < -8:
+            p, down = _rescale(p, s), [_rescale(v, s) for v in down]
+            es = list(map(int.__add__, es, s))
+    return p, es
 
 
-def _certify(entries, n, marginals, tol):
-    """Orthogonality residuals of the walked P_n, relative to sum lam |P_n| |x|^k, held to tol."""
+def _certify(entries, n, marginals, tol, w):
+    """Orthogonality residuals of the walked P_n, relative to sum lam |P_n| |x|^k, held to tol.
+
+    The terms lam P_n x^k are integers under one shared power of two, the
+    largest near 2^(2w): the products lam P_n are exact before they are
+    aligned, each factor x floors under one unit of 2^-w of the largest term,
+    and the vector is rescaled whenever its largest term drifts 8 bits."""
     for i, (xs, lams, _, _) in zip((1, 2), marginals):
         if not n.component(i):
             continue
-        terms = [lam * v for lam, v in zip(lams, _walk(entries, n, xs, first=i))]
+        X = [_to_fixed(x, w) for x in xs]
+        (P,), es = _walk(entries, n, X, w, first=i)
+        terms = list(map(_mul, _weight_scale(lams, w), P))
+        top = max(v.bit_length() + e for v, e in zip(terms, es))
+        terms = [_shift(v, e + 2 * w - top) for v, e in zip(terms, es)]
         for _ in range(n.component(i)):
-            resid = abs(mp.fsum(terms)) / mp.fsum(abs(v) for v in terms)
+            resid = mp.mpf(abs(sum(terms))) / sum(map(abs, terms))
             if resid > tol:
                 raise InternalInconsistency(
                     f"sweep orthogonality residual {mp.nstr(resid, 5)} at {n.as_pair()} "
                     f"against measure {i}; raise mantissa_bits")
-            terms = [v * x for v, x in zip(terms, xs)]
+            terms = [v * x >> w for v, x in zip(terms, X)]
+            s = max(map(abs, terms)).bit_length() - 2 * w
+            if abs(s) > 8:
+                terms = [_shift(v, -s) for v in terms]
 
 
 def _hankel_pivot_tol(rows, ctx):
@@ -434,7 +544,7 @@ class AngelescoSystem:
             w.validate(geometry)
         self._moments = [[], []]
         self._solutions = {}
-        self._sweep = (-1, None)
+        self._sweep = (-1, None, None)
 
     # -- moments -----------------------------------------------------------
 
@@ -479,35 +589,49 @@ class AngelescoSystem:
     # -- recurrence coefficients ----------------------------------------------
 
     def _swept(self, n):
-        """Entries to level |n| at least; a new sweep, to exactly |n|, is certified at n."""
-        level, entries = self._sweep
+        """(entries, w): integer entries times 2^w to level |n| at least; a new
+        sweep, to exactly |n|, is certified at n."""
+        level, entries, w = self._sweep
         if level < n.norm:
             ctx = self.ctx
             with ctx.workprec():
-                marginals = [jacobi_marginal(w, self.geometry, n.norm, ctx) for w in self.weights]
+                marginals = [jacobi_marginal(weight, self.geometry, n.norm, ctx)
+                             for weight in self.weights]
                 scale = max(1, *map(abs, self.geometry.as_tuple()))
-                entries = _nnrr_sweep(marginals, n.norm, mp.mpf(2) ** (16 - ctx.mantissa_bits) * scale)
-                _certify(entries, n, marginals, ctx.solve_tolerance)
-            self._sweep = (n.norm, entries)
-        return entries
+                w = _sweep_bits(self.geometry, n.norm, ctx)
+                entries = _nnrr_sweep(marginals, n.norm,
+                                      mp.mpf(2) ** (16 - ctx.mantissa_bits) * scale, w)
+                _certify(entries, n, marginals, ctx.solve_tolerance, w)
+            self._sweep = (n.norm, entries, w)
+        return entries, w
+
+    def _mpf_row(self, row, w):
+        with self.ctx.workprec():
+            return tuple(mp.mpf((v, -w)) for v in row)
 
     def nnrr(self, n):
         """(a1, a2, b1, b2) at one index, read from the certified sweep."""
         n = MultiIndex.of(n)
-        return self._swept(n)[n.as_pair()]
+        entries, w = self._swept(n)
+        return self._mpf_row(entries[n.as_pair()], w)
 
     def table(self, n_max):
         """NnrrTable over n1, n2 <= n_max from one sweep, certified at (n_max, n_max)."""
         if n_max < 1:
             raise ValueError("n_max must be >= 1")
-        entries = self._swept(MultiIndex(n_max, n_max))
-        return NnrrTable({k: v for k, v in entries.items() if max(k) <= n_max}, n_max)
+        entries, w = self._swept(MultiIndex(n_max, n_max))
+        return NnrrTable({k: self._mpf_row(v, w) for k, v in entries.items() if max(k) <= n_max},
+                         n_max)
 
     def p_value(self, n, z):
         """P_n(z), walked along the recurrence from the sweep."""
         n = MultiIndex.of(n)
+        entries, w = self._swept(n)
         with self.ctx.workprec():
-            return _walk(self._swept(n), n, [mp.mpc(z)])[0]
+            z = mp.mpc(z)
+            x, y = _to_fixed(z.real, w), _to_fixed(z.imag, w)
+            lanes, (e,) = _walk(entries, n, [x], w, ys=[y] if y else None)
+            return mp.mpc(*(mp.mpf((lane[0], e)) for lane in lanes))
 
     # -- derived checks --------------------------------------------------------
 

@@ -101,6 +101,24 @@ def s_x0(geometry, z, x0, ctx, side=0):
         return val
 
 
+def _marginal_factors(z, weight2, geometry, ctx, n_theta):
+    """The n-independent factors of `marginal_predict` at z: the normalized
+    Szego ratio S_rho2(z)/S_rho2(inf), S(z; alpha1), z - alpha1 and phi_2(z)."""
+    a2, b2 = geometry.interval(2)
+    zc = mp.mpc(z)
+    if zc.imag == 0 and (a2 <= zc.real <= b2 or zc.real == geometry.alpha1):
+        raise DomainError("evaluation point must avoid the second interval "
+                          "and the collapsed first support")
+    se = szego_rho(geometry, 2, z, weight2, ctx, n_theta=n_theta)
+    return (se.value / se.at_infinity, s_x0(geometry, z, geometry.alpha1, ctx),
+            zc - geometry.alpha1, phi_map(zc, a2, b2))
+
+
+def _predict(factors, n):
+    ratio, sfac, shift, phi2 = factors
+    return ratio * sfac ** n.n1 * shift ** n.n1 * phi2 ** n.n2
+
+
 def marginal_predict(n, z, weight2, geometry, ctx, n_theta=256):
     """Size prediction for the monic polynomial along a thin-first-component ray.
 
@@ -108,30 +126,21 @@ def marginal_predict(n, z, weight2, geometry, ctx, n_theta=256):
     each factor normalized so the product behaves like z^|n| at infinity.
     """
     with ctx.workprec():
-        a2, b2 = geometry.interval(2)
-        zc = mp.mpc(z)
-        if zc.imag == 0 and (a2 <= zc.real <= b2 or zc.real == geometry.alpha1):
-            raise DomainError("evaluation point must avoid the second interval "
-                              "and the collapsed first support")
-        se = szego_rho(geometry, 2, z, weight2, ctx, n_theta=n_theta)
-        sfac = s_x0(geometry, z, geometry.alpha1, ctx)
-        phi2 = phi_map(zc, a2, b2)
-        return (se.value / se.at_infinity) * sfac ** n.n1 \
-            * (zc - geometry.alpha1) ** n.n1 * phi2 ** n.n2
+        return _predict(_marginal_factors(z, weight2, geometry, ctx, n_theta), n)
 
 
 def ratio_report(system, n_list, z, n_theta=256):
     """|P_n(z)/prediction| rows for a list of multi-indices, with P_n(z)
-    walked along the recurrence (``AngelescoSystem.p_value``)."""
+    walked along the recurrence (``AngelescoSystem.p_value``). The
+    prediction's n-independent factors are computed once per call."""
     rows = []
     ctx = system.ctx
     with ctx.workprec():
         zc = mp.mpc(z)
+        factors = _marginal_factors(zc, system.weights[1], system.geometry, ctx, n_theta)
         for n in n_list:
             n = MultiIndex.of(n)
-            pred = marginal_predict(n, zc, system.weights[1],
-                                    system.geometry, ctx, n_theta=n_theta)
-            ratio = system.p_value(n, zc) / pred
+            ratio = system.p_value(n, zc) / _predict(factors, n)
             rows.append({
                 "n1": n.n1,
                 "n2": n.n2,

@@ -570,6 +570,30 @@ def test_chi_eval_domain_near_branch_point():
             chi_eval(cd, mp.mpc(beta, "1e-80"), ctx)
 
 
+def test_chi_eval_at_large_z():
+    # mp.polyroots' fallback with extraprec = bits/2 raised mpmath's
+    # NoConvergence at these three points at 128 bits; with the extra
+    # precision sized by the coefficients it converges, and off the axis the
+    # largest root's rounding floor covers the pair near the intervals, a
+    # typed ClassificationError
+    for bits in (128, 192):
+        ctx = PrecisionContext(bits)
+        cd = curve(G0, "0.3", ctx, with_dc=False)
+        with ctx.workprec():
+            for z in (mp.mpf("1e20"), mp.mpc("1e20", "1"), mp.mpc(0, "1e20")):
+                if bits == 128 and z.imag:
+                    with pytest.raises(ClassificationError):
+                        chi_eval(cd, z, ctx)
+                    continue
+                ch, ref = chi_eval(cd, z, ctx), _oracle_roots(cd, z, 2 * bits)
+                assert abs(ch[0] - z) <= 10
+                # two roots sit 1e-20 from the poles B1, B2, where R is too
+                # steep for its residual to show their error, so each is held
+                # against its own root of the oracle
+                for k in (0, 1, 2):
+                    assert min(abs(ch[k] - r) / max(1, abs(r)) for r in ref) <= mp.mpf(2) ** (8 - bits)
+
+
 def test_chi_eval_at_branch_points_square_root_limited():
     ctx = PrecisionContext(192)
     for c in ("0.05", "0.5"):

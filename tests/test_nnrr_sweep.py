@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from angelesco import mops
 from angelesco.errors import InternalInconsistency, NormalityFailure
 from angelesco.mops import AngelescoSystem, Geometry, MultiIndex, WeightSpec, lebesgue_weights
-from angelesco.precision import PrecisionContext
+from angelesco.precision import PrecisionContext, gauss_legendre
 
 ASYM = ("-2.3", "-1", "1", "1.9")
 POLY = ("1.4", "0.8", "0.2")
@@ -109,6 +109,143 @@ def test_weight_scaling_leaves_the_table_unchanged():
     exp_scaled = AngelescoSystem(g, (WeightSpec("const", interval=1),
                                      WeightSpec("exppoly", ("1.5", "0.3", "-0.1"), 2)), ctx)
     assert_tables_agree(exp_base.table(4), exp_scaled.table(4), bits)
+
+
+# The mpf oracle: the sweep's three loops in mpf arithmetic at the context
+# precision, the route that `mops` ran before its fixed-point kernel.
+
+def oracle_marginal(weight, geometry, level, ctx):
+    """`jacobi_marginal` by Stieltjes' procedure in mpf, on the same rule."""
+    with ctx.workprec():
+        deg = weight.poly_degree()
+        m = 64 + 2 * (level + deg) if weight.kind == "exppoly" else level + deg // 2 + 2
+        ts, gl_weights = gauss_legendre(m, ctx)
+        a, b = geometry.interval(weight.interval)
+        half, mid = (b - a) / 2, (b + a) / 2
+        xs = [mid + half * t for t in ts]
+        lams = [half * w * weight.density(x) for w, x in zip(gl_weights, xs)]
+        alphas, betas = [], []
+        p, p_prev, norm_prev = [mp.mpf(1)] * m, [mp.mpf(0)] * m, None
+        for k in range(level + 1):
+            sq = [lam * v * v for lam, v in zip(lams, p)]
+            norm = mp.fsum(sq)
+            alpha = mp.fsum(s * t for s, t in zip(sq, ts)) / norm
+            beta = norm / norm_prev if k else mp.mpf(0)
+            alphas.append(mid + half * alpha)
+            betas.append(half * half * beta)
+            p, p_prev = [(t - alpha) * v - beta * u for t, v, u in zip(ts, p, p_prev)], p
+            norm_prev = norm
+        return xs, lams, alphas, betas
+
+
+def oracle_sweep(marginals, level):
+    """`_nnrr_sweep` in mpf: {(n1, n2): (a1, a2, b1, b2)} for every |n| <= level."""
+    (_, _, al1, be1), (_, _, al2, be2) = marginals
+    zero = mp.mpf(0)
+    out = {(0, 0): (zero, zero, al1[0], al2[0])}
+    for s in range(1, level + 1):
+        a = {(s, 0): (be1[s], zero), (0, s): (zero, be2[s])}
+        for n1 in range(1, s):
+            n2 = s - n1
+            p, q, r = out[(n1, n2 - 1)], out[(n1 - 1, n2 - 1)], out[(n1 - 1, n2)]
+            d = q[2] - q[3]
+            a[(n1, n2)] = (p[0] * (p[2] - p[3]) / d, r[1] * (r[2] - r[3]) / d)
+        b1, b2 = {(s, 0): al1[s]}, {(0, s): al2[s]}
+        for n1 in range(s):
+            n2 = s - 1 - n1
+            _, _, c1, c2 = out[(n1, n2)]
+            u, v = a[(n1, n2 + 1)], a[(n1 + 1, n2)]
+            t = (u[0] + u[1] - v[0] - v[1]) / (c1 - c2)
+            b1[(n1, n2 + 1)], b2[(n1 + 1, n2)] = c1 - t, c2 - t
+        for key, (x, y) in a.items():
+            out[key] = (x, y, b1[key], b2[key])
+    return out
+
+
+def oracle_walk(entries, n, zs, first=1):
+    """`_walk` in mpf or mpc: P_n at each z along the path taking its e_first steps first."""
+    f = first - 1
+    m, p, down = [0, 0], [mp.mpf(1)] * len(zs), [None, None]
+    for j in [f] * n.component(first) + [1 - f] * (n.norm - n.component(first)):
+        i = 1 - j
+        row = entries[tuple(m)]
+        new = [(z - row[2 + j]) * v for z, v in zip(zs, p)]
+        for k in (0, 1):
+            if m[k]:
+                new = [w - row[k] * v for w, v in zip(new, down[k])]
+        if m[i]:
+            q = entries[(m[0] - (i == 0), m[1] - (i == 1))]
+            c = q[2 + j] - q[2 + i]
+            down[i] = [v - c * u for v, u in zip(p, down[i])]
+        down[j], p = p, new
+        m[j] += 1
+    return p
+
+
+def assert_kernel_matches_oracle(g, weights, level, ctx):
+    """Marginals, sweep entries and walked P_n of the fixed-point kernel
+    against the mpf oracle, to 2^(20 - bits) times their scale: the
+    endpoints' for alpha and b, its square for beta and a, and the largest
+    lam |P_n| on the interval for P_n at its nodes (the certificate's terms)."""
+    with ctx.workprec():
+        scale = max(1, *(abs(x) for x in g.as_tuple()))
+        tol = mp.mpf(2) ** (20 - ctx.mantissa_bits) * scale
+        marginals = [mops.jacobi_marginal(w, g, level, ctx) for w in weights]
+        for w, got in zip(weights, marginals):
+            want = oracle_marginal(w, g, level, ctx)
+            assert got[:2] == want[:2]
+            for k, power in ((2, 0), (3, 1)):
+                assert max(abs(u - v) for u, v in zip(got[k], want[k])) <= tol * scale ** power
+        w = mops._sweep_bits(g, level, ctx)
+        entries = mops._nnrr_sweep(marginals, level, mp.mpf(0), w)
+        want = oracle_sweep(marginals, level)
+        assert entries.keys() == want.keys()
+        for key, row in want.items():
+            for k, (u, v) in enumerate(zip(entries[key], row)):
+                assert abs(mp.ldexp(u, -w) - v) <= tol * scale ** (k < 2), (key, k)
+        n = MultiIndex(level // 2, level - level // 2)
+        for i, (xs, lams, _, _) in zip((1, 2), marginals):
+            (got,), es = mops._walk(entries, n, [mops._to_fixed(x, w) for x in xs], w, first=i)
+            ref = oracle_walk(want, n, xs, first=i)
+            big = max(abs(lam * v) for lam, v in zip(lams, ref))
+            for lam, u, e, v in zip(lams, got, es, ref):
+                assert abs(lam * (mp.ldexp(u, e) - v)) <= tol * big
+        # P_n at a complex z, where the path can lose bits to cancellation (the
+        # mpf walk keeps 134 of 154 digits at (20, 20), 512 bits, on
+        # [-100,-1] U [1,1.01]): against the mpf walk at twice the bits over
+        # the same entries, to the same tolerance or to the error of the mpf
+        # walk at the context bits
+        z = mp.mpc("0.3", "0.7")
+        lanes, (e,) = mops._walk(entries, n, [mops._to_fixed(z.real, w)], w,
+                                 ys=[mops._to_fixed(z.imag, w)])
+        got = mp.mpc(*(mp.ldexp(lane[0], e) for lane in lanes))
+        same = oracle_walk({k: [mp.ldexp(u, -w) for u in row] for k, row in entries.items()},
+                           n, [z])[0]
+    with mp.workprec(2 * ctx.mantissa_bits):
+        ref = oracle_walk({k: [mp.ldexp(u, -w) for u in row] for k, row in entries.items()},
+                          n, [z])[0]
+        assert abs(got - ref) <= max(tol * abs(ref), abs(same - ref))
+
+
+THIN_FAR = ("-1.01", "-1", "1", "100")
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([mops.reference_geometry().as_tuple(), ASYM, THIN_FAR,
+                        ("-100", "-1", "1", "1.01"), ("-3", "-2.9", "-2.8", "4")]),
+       st.sampled_from(["const", "poly", "exppoly"]), st.sampled_from(["const", "poly", "exppoly"]),
+       st.floats(0.1, 1), st.floats(-2, 2), st.sampled_from([128, 512]), st.integers(2, 14))
+def test_fixed_point_kernel_matches_mpf_oracle(endpoints, kind1, kind2, u, v, bits, level):
+    ctx = PrecisionContext(bits)
+    weights = (random_weight(kind1, 1, u, v), random_weight(kind2, 2, u, -v))
+    assert_kernel_matches_oracle(geometry(endpoints, bits), weights, level, ctx)
+
+
+def test_fixed_point_kernel_matches_mpf_oracle_at_level_200():
+    # dynamic range: P_(100,100) spans hundreds of bits over the nodes of
+    # [1, 100], and the thin interval's a's are 1e-5 of the far one's
+    ctx = PrecisionContext(512)
+    assert_kernel_matches_oracle(geometry(THIN_FAR, 512), lebesgue_weights(), 200, ctx)
 
 
 def patch_marginals(monkeypatch, edit):

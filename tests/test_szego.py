@@ -116,3 +116,19 @@ def test_ratio_report_improves_along_marginal_ray():
     text = ratio_report_csv(rows)
     assert text.splitlines()[0] == "n1,n2,z_re,z_im,ratio_re,ratio_im,abs_err"
     assert len(text.splitlines()) == 4
+
+
+def test_ratio_report_rows_equal_per_row_predictions():
+    # the report computes the n-independent factors once; each row must still
+    # equal P_n(z) / marginal_predict(n, z) bit for bit, at real and complex z
+    system = AngelescoSystem(G0, lebesgue_weights(), CTX)
+    for z in (4, mp.mpc("0.5", "1.5")):
+        ns = [(1, 3), (2, 5), (0, 4)]
+        rows = ratio_report(system, ns, z, n_theta=64)
+        with CTX.workprec():
+            zc = mp.mpc(z)
+            for n, row in zip(ns, rows):
+                pred = marginal_predict(MultiIndex(*n), zc, W2, G0, CTX, n_theta=64)
+                ratio = system.p_value(n, zc) / pred
+                assert (row["ratio_re"], row["ratio_im"]) == (ratio.real, ratio.imag)
+                assert row["abs_err"] == abs(ratio - 1)
