@@ -284,23 +284,22 @@ def _stieltjes(ts, lams, level, wp):
     T, L = [_to_fixed(t, wp) for t in ts], _weight_scale(lams, wp)
     target = sum(L).bit_length() + 2 * wp
     Q, Qp = [1 << wp] * len(T), [0] * len(T)  # q_k and q_{k-1}, one scale
-    alphas, betas, N_prev, drift = [], [], None, 0
+    alphas, betas, N_prev = [], [], None
     for k in range(level + 1):
         S = list(map(_mul, L, map(_mul, Q, Q)))
-        N = sum(S)
+        N, d = sum(S), 0
         if abs(N.bit_length() - target) > 64:
             d = (N.bit_length() - target) // 2
             Q, Qp = [_shift(q, -d) for q in Q], [_shift(q, -d) for q in Qp]
-            drift += d
             S = list(map(_mul, L, map(_mul, Q, Q)))
             N = sum(S)
         A = _div(sum(map(_mul, S, T)), N)
-        B = _div(_shift(N, wp + 2 * drift - 2), N_prev) if k else 0
+        B = _div(_shift(N, wp + 2 * d - 2), N_prev) if k else 0
         alphas.append(A)
         betas.append(B)
         if k < level:
             Q, Qp = [((t - A) * q - 2 * B * u) >> (wp - 1) for t, q, u in zip(T, Q, Qp)], Q
-        N_prev, drift = N, 0
+        N_prev = N
     return alphas, betas
 
 

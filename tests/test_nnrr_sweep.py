@@ -248,6 +248,17 @@ def test_fixed_point_kernel_matches_mpf_oracle_at_level_200():
     assert_kernel_matches_oracle(geometry(THIN_FAR, 512), lebesgue_weights(), 200, ctx)
 
 
+def test_certificate_holds_across_a_weights_dynamic_range():
+    # the weights lam of exp(0.3 x - 0.1 x^2) on [1, 100] span 1400 bits over
+    # the Gauss nodes and P_(30,30) spans 257: the Stieltjes norms drift and
+    # are rescaled, and the walk keeps each node's own exponent (one exponent
+    # shared by the nodes left the certificate's residual at 0.63 here)
+    ctx = PrecisionContext(128)
+    weights = (WeightSpec("poly", POLY, 1), WeightSpec("exppoly", EXPPOLY, 2))
+    AngelescoSystem(geometry(THIN_FAR, 128), weights, ctx).table(30)
+    assert_kernel_matches_oracle(geometry(THIN_FAR, 128), weights, 40, ctx)
+
+
 def patch_marginals(monkeypatch, edit):
     inner = mops.jacobi_marginal
 
