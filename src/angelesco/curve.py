@@ -31,7 +31,7 @@ from .errors import (
     SingularSystem,
     SolveFailure,
 )
-from .precision import PrecisionContext, find_root, gauss_legendre
+from .precision import PrecisionContext, gauss_legendre
 from .szego_maps import phi_map, w_map
 
 PUSHED_LEFT = "pushed_left"
@@ -55,7 +55,6 @@ class CurveData:
     w_star: mp.mpf
     z_c: mp.mpf
     d_c: object  # node of a pushed regime; None in the middle one or with with_dc=False
-    K: mp.mpf  # 1 - c + c^2
     solve_residual: mp.mpf
     geometry: object = None
 
@@ -104,31 +103,32 @@ def _Rpp(w, p):
     return 2 * A1 / (w - B1) ** 3 + 2 * A2 / (w - B2) ** 3
 
 
-def _zero_of_Rp(p, lo, hi, tol, ctx):
-    """The zero of R' in the sign-change bracket [lo, hi], by Newton with R''.
+def _bracketed_zero(f, fp, lo, hi, tol, ctx):
+    """The zero of f in the sign-change bracket [lo, hi], by Newton with f'.
 
-    A step that would leave the bracket is replaced by bisection. The step
-    size is tested before the bracket: at the rounding floor x - dx rounds
-    to x, which is no longer strictly inside the shrunken bracket.
+    A step that would leave the bracket, or a zero f', is replaced by
+    bisection. The step size is tested before the bracket: at the rounding
+    floor x - dx rounds to x, which is no longer strictly inside the shrunken
+    bracket.
     """
-    lo_positive = _Rp(lo, p) > 0
+    lo_positive = f(lo) > 0
     x = (lo + hi) / 2
     for _ in range(2 * ctx.mantissa_bits + 128):
-        f = _Rp(x, p)
-        if f == 0:
+        fx = f(x)
+        if fx == 0:
             return x
-        if (f > 0) == lo_positive:
+        if (fx > 0) == lo_positive:
             lo = x
         else:
             hi = x
-        # R'' has its one zero at wm, an end of the inner brackets
-        dx = f / _Rpp(x, p)
+        slope = fp(x)
+        dx = fx / slope if slope else mp.inf
         if abs(dx) <= tol:
             return x - dx
         if hi - lo <= tol:
             return (lo + hi) / 2
         x = x - dx if lo < x - dx < hi else (lo + hi) / 2
-    raise SolveFailure("critical-point Newton did not converge")
+    raise SolveFailure("bracketed Newton did not converge")
 
 
 def _critical_points(p, ctx):
@@ -136,7 +136,7 @@ def _critical_points(p, ctx):
 
     The outer pair is bracketed by expanding away from the poles; the middle
     pair is split by the closed-form zero of R'' between the poles. Each
-    zero is then found by bracketed Newton (``_zero_of_Rp``).
+    zero is then found by bracketed Newton with R'' (``_bracketed_zero``).
     """
     A1, A2, B1, B2 = p
     if not (A1 > 0 and A2 > 0 and B1 < B2):
@@ -159,8 +159,12 @@ def _critical_points(p, ctx):
         inner /= 65536
         if inner < ctx.solve_tolerance:
             raise SolveFailure("poles too degenerate for bracketing")
-    w1 = _zero_of_Rp(p, grow_bracket(B1, -1), B1 - inner, tol, ctx)
-    w4 = _zero_of_Rp(p, B2 + inner, grow_bracket(B2, +1), tol, ctx)
+
+    def zero(lo, hi):
+        return _bracketed_zero(lambda w: _Rp(w, p), lambda w: _Rpp(w, p), lo, hi, tol, ctx)
+
+    w1 = zero(grow_bracket(B1, -1), B1 - inner)
+    w4 = zero(B2 + inner, grow_bracket(B2, +1))
     # R'' has exactly one zero between the poles, at the top of the bump
     t = (A2 / A1) ** (mp.mpf(1) / 3)
     wm = (B2 + t * B1) / (1 + t)
@@ -172,8 +176,8 @@ def _critical_points(p, ctx):
     innerR = inner
     while _Rp(B2 - innerR, p) > 0:
         innerR /= 65536
-    w2 = _zero_of_Rp(p, B1 + innerL, wm, tol, ctx)
-    w3 = _zero_of_Rp(p, wm, B2 - innerR, tol, ctx)
+    w2 = zero(B1 + innerL, wm)
+    w3 = zero(wm, B2 - innerR)
     return (w1, w2, w3, w4)
 
 
@@ -329,7 +333,7 @@ def _closed_form_degenerate(geometry, ctx):
             c=mp.mpf(0), regime=PUSHED_LEFT, beta_c1=g.alpha1, alpha_c2=g.alpha2,
             A1=mp.mpf(0), A2=A2, B1=B1, B2=B2,
             w_crit=(B1, B1, B2 - sA, B2 + sA), w_star=B1, z_c=g.alpha1,
-            d_c=g.alpha1, K=mp.mpf(1), solve_residual=mp.mpf(0), geometry=g)
+            d_c=g.alpha1, solve_residual=mp.mpf(0), geometry=g)
 
 
 # Below this fraction of c*, the pushed solve is seeded from the small-c laws;
@@ -393,7 +397,7 @@ def _mirror_curve(curve_data, geometry):
         A1=cd.A2, A2=cd.A1, B1=-cd.B2, B2=-cd.B1,
         w_crit=w, w_star=-cd.w_star, z_c=-cd.z_c,
         d_c=(-cd.d_c if cd.d_c is not None else None),
-        K=cd.K, solve_residual=cd.solve_residual, geometry=geometry)
+        solve_residual=cd.solve_residual, geometry=geometry)
 
 
 def curve(geometry, c, ctx, with_dc=True):
@@ -408,7 +412,6 @@ def curve(geometry, c, ctx, with_dc=True):
         if c == 1:
             return _mirror_curve(_closed_form_degenerate(g.mirrored(), ctx), g)
         th = critical_thresholds(g, ctx)
-        K = 1 - c + c * c
         if th.c_star <= c <= th.c_dstar:
             params, w_crit, resid = _full_map(g, ctx)
             w_star = _wstar_of_mass(params, w_crit, c)
@@ -423,7 +426,7 @@ def curve(geometry, c, ctx, with_dc=True):
             z_c = min(max(z_c, g.beta1), g.alpha2)
             return CurveData(c=c, regime=MIDDLE, beta_c1=g.beta1, alpha_c2=g.alpha2,
                              A1=params[0], A2=params[1], B1=params[2], B2=params[3],
-                             w_crit=w_crit, w_star=w_star, z_c=z_c, d_c=None, K=K,
+                             w_crit=w_crit, w_star=w_star, z_c=z_c, d_c=None,
                              solve_residual=resid, geometry=g)
         if c < th.c_star:
             x, resid = _pushed_left_solve(g, c, th.c_star, ctx)
@@ -439,7 +442,7 @@ def curve(geometry, c, ctx, with_dc=True):
                         f"endpoint backends disagree: {mp.nstr(abs(beta_chk - beta), 5)}")
             return CurveData(c=c, regime=PUSHED_LEFT, beta_c1=beta, alpha_c2=g.alpha2,
                              A1=params[0], A2=params[1], B1=params[2], B2=params[3],
-                             w_crit=w_crit, w_star=w_crit[1], z_c=beta, d_c=d_c, K=K,
+                             w_crit=w_crit, w_star=w_crit[1], z_c=beta, d_c=d_c,
                              solve_residual=resid, geometry=g)
         mirrored = curve(g.mirrored(), 1 - c, ctx, with_dc=with_dc)
         return _mirror_curve(mirrored, g)
@@ -454,11 +457,34 @@ def dc_oracle(geometry, c, ctx):
 
     For c below the lower threshold the algebraic curve of h forces the cubic
 
-        4 K^3 (z - d)^3 - 27 (c - c^2)^2 (z - a1)(z - a2)(z - b2)
+        P(z) = 4 K^3 (z - d)^3 - sigma q(z),   q(z) = (z - a1)(z - a2)(z - b2),
 
-    to factor as L (z - s)(z - m)^2 with a simple root s = beta_{c,1} and a
-    double root m (a node of the curve). The three coefficient matches are
-    solved for (d, s, m) by Newton with continuation in c. Returns (d_c, s).
+    with K = 1 - c + c^2 and sigma = 27 (c - c^2)^2, to factor as
+    L (z - s)(z - m)^2: a simple root s = beta_{c,1} and a double root m (a
+    node of the curve), where L = 4 K^3 - sigma = u (81/4 - 18 u + 4 u^2) and
+    u = (c - 1/2)^2. With e1, e2, e3 the symmetric functions of (a1, a2, b2),
+    P(m) = P'(m) = 0 gives d = (e1 m^2 - 2 e2 m + 3 e3) / q'(m) and one
+    scalar equation for the node,
+
+        G(m) = 27 L q(m)^2 + sigma Delta(m) = 0,   Delta = 27 q^2 - q'^3,
+
+    where the m^6 and m^5 terms of Delta cancel, so Delta is a quartic. In
+    this split neither G nor G' = 54 L q q' + sigma Delta' cancels near c = 1/2.
+
+    G = 0 reads q'^3/q^2 = 4 K^3 / (c - c^2)^2, which exceeds 27 for c != 1/2.
+    With x_i = 1/(m - r_i) over the roots r_i of q, q'^3/q^2 = (sum x)^3 / prod x
+    and d/dm log(q'^3/q^2) = ((sum x)^2 - 3 sum x^2) / sum x, whose numerator
+    is negative by Cauchy-Schwarz. So q'^3/q^2 rises from 27 to infinity on
+    (-inf, a1) and falls from infinity to 27 on (b2, inf): G has exactly one
+    root on each side, bracketed by G(a1), G(b2) < 0 and G > 0 far out. The
+    equations see c only through c - c^2 and K, so one of the two is the node
+    of 1 - c: the node of c is the root left of a1 for c < 1/2 and the root
+    right of b2 for c > 1/2. When c rounds to 1/2 (L = 0) the node is at
+    infinity and d = e1/3.
+
+    s is the one root of P in (d, beta1), where P(d) = -sigma q(d) < 0.
+    RegimeError unless a1 < d < beta1 and P(beta1) > 0, which is what c at
+    or beyond the lower threshold gives. Returns (d, s).
     """
     g = geometry
     with ctx.workprec():
@@ -469,87 +495,52 @@ def dc_oracle(geometry, c, ctx):
         e1 = a1 + a2 + b2
         e2 = a1 * a2 + a1 * b2 + a2 * b2
         e3 = a1 * a2 * b2
-        W = abs(w_map(a1, a2, b2))
-
-        def system(cc):
-            K3 = 4 * (1 - cc + cc * cc) ** 3
-            sig = 27 * (cc - cc * cc) ** 2
-            L = K3 - sig
-
-            def F(x):
-                d, s, m = x
-                rows = [
-                    -3 * K3 * d + sig * e1 + L * (s + 2 * m),
-                    3 * K3 * d * d - sig * e2 - L * (2 * s * m + m * m),
-                    -K3 * d ** 3 + sig * e3 + L * s * m * m,
-                ]
-                J = [
-                    [-3 * K3, L, 2 * L],
-                    [6 * K3 * d, -2 * L * m, -2 * L * (s + m)],
-                    [-3 * K3 * d * d, L * m * m, 2 * L * s * m],
-                ]
-                return rows, J
-            return F
-
-        def seed_for(cc):
-            return [a1 + cc * W, a1 + 4 * cc * W, a1 - cc * W / 2]
-
-        def solve_at(cc, x0):
-            x, resid = _newton(system(cc), x0, ctx)
-            scale = max(1, max(abs(v) for v in x)) * max(1, abs(e3))
-            if resid > ctx.solve_tolerance * scale * 64:
-                raise SolveFailure(f"cubic-structure residual {mp.nstr(resid, 5)}")
-            return x
-
-        try:
-            x = solve_at(c, seed_for(c))
-        except SolveFailure:
-            c_cur = min(mp.mpf("0.002"), c / 2)
-            x = solve_at(c_cur, seed_for(c_cur))
-            step = mp.mpf("0.02")
-            while c_cur < c:
-                c_try = min(c, c_cur + step)
-                try:
-                    x = solve_at(c_try, list(x))
-                except SolveFailure:
-                    step /= 2
-                    if step < mp.mpf("1e-9"):
-                        raise RegimeError(
-                            "no admissible node structure; c is at or beyond the threshold")
-                    continue
-                c_cur = c_try
-        d, s, m = x
-        if not (a1 < d < s < g.beta1):
-            raise RegimeError(
-                f"selection a1 < d < beta < beta1 violated at c={mp.nstr(c, 8)}; "
-                "c is at or beyond the lower threshold")
-        return d, s
-
-
-def dc_certificate(geometry, c, d, ctx):
-    """Value and derivative of the discriminant cubic at its double root."""
-    g = geometry
-    with ctx.workprec():
-        c = mp.mpf(c)
-        K3 = 4 * (1 - c + c * c) ** 3
+        half = mp.mpf(1) / 2
+        u = (c - half) ** 2
+        L = u * (mp.mpf(81) / 4 - 18 * u + 4 * u * u)
         sig = 27 * (c - c * c) ** 2
+        delta = [27 * e2 - 9 * e1 ** 2, 8 * e1 ** 3 - 18 * e1 * e2 - 54 * e3,
+                 54 * e1 * e3 + 18 * e2 ** 2 - 12 * e1 ** 2 * e2,
+                 6 * e1 * e2 ** 2 - 54 * e2 * e3, 27 * e3 ** 2 - e2 ** 3]
 
-        def p(z):
-            return K3 * (z - d) ** 3 - sig * (z - g.alpha1) * (z - g.alpha2) * (z - g.beta2)
+        def q(z):
+            return (z - a1) * (z - a2) * (z - b2)
 
-        def dp(z):
-            return 3 * K3 * (z - d) ** 2 - sig * (
-                (z - g.alpha2) * (z - g.beta2)
-                + (z - g.alpha1) * (z - g.beta2)
-                + (z - g.alpha1) * (z - g.alpha2))
+        def qp(z):
+            return (z - a2) * (z - b2) + (z - a1) * (z - b2) + (z - a1) * (z - a2)
 
-        # locate the double root as the zero of dp left of d
-        span = abs(g.beta2 - g.alpha1)
-        lo = g.alpha1 - span
-        m = find_root(dp, lo, d, ctx) if dp(lo) * dp(d) < 0 else None
-        if m is None:
-            raise SolveFailure("could not bracket the double root")
-        return m, p(m), dp(m)
+        def G(m):
+            return 27 * L * q(m) ** 2 + sig * mp.polyval(delta, m)
+
+        def Gp(m):
+            return 54 * L * q(m) * qp(m) + sig * mp.polyval(delta, m, derivative=True)[1]
+
+        if L == 0:
+            d = e1 / 3
+        else:
+            side, edge = (-1, a1) if c < half else (1, b2)
+            # from the node's large-|m| law (m - e1/3)^2 ~ (e1^2 - 3 e2) sigma / (3 L),
+            # doubled out to G > 0
+            step = mp.sqrt((e1 * e1 - 3 * e2) * sig / (3 * L))
+            while not G(edge + side * step) > 0:
+                step *= 2
+            far = edge + side * step
+            tol = mp.ldexp(max(1, abs(far)), 4 - ctx.mantissa_bits)
+            m = _bracketed_zero(G, Gp, min(edge, far), max(edge, far), tol, ctx)
+            d = (e1 * m * m - 2 * e2 * m + 3 * e3) / qp(m)
+
+        def P(z):
+            return (L + sig) * (z - d) ** 3 - sig * q(z)
+
+        def Pp(z):
+            return 3 * (L + sig) * (z - d) ** 2 - sig * qp(z)
+
+        if not (a1 < d < g.beta1 and P(g.beta1) > 0):
+            raise RegimeError(
+                f"no admissible node structure a1 < d < beta < beta1 at c={mp.nstr(c, 8)}; "
+                "c is at or beyond the lower threshold")
+        tol = mp.ldexp(max(1, abs(a1), abs(g.beta1)), 4 - ctx.mantissa_bits)
+        return d, _bracketed_zero(P, Pp, d, g.beta1, tol, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -672,15 +663,13 @@ def chi_eval(curve_data, z, ctx, side=+1):
 
     Domain: every z whose cubic has finite coefficients in double precision
     (DomainError otherwise); every real z is labeled. ClassificationError is
-    raised for Im z > 0 when two roots of uncollapsed sheets lie within
-    2^(4 - bits/2) of the roots' scale, the square-root rounding floor below
-    which the roots near a branch point do not resolve the sign of Im w.
-    Directly above a branch point that is Im z below about 2^(10 - bits) on
-    the reference geometry. The scale is the largest root, about |z| for
-    large z, so the same error is raised off the real axis once |z| exceeds
-    about 2^(bits/2 - 4) times the gap of the two roots near the intervals:
-    at 128 bits on the reference geometry, at 1e20 + i and 1e20 i, though not
-    at 1e18 + i or at any real z.
+    raised for Im z > 0 when two roots u, v of uncollapsed sheets lie within
+    2^(4 - bits/2) max(1, |u|, |v|) of each other, the square-root rounding
+    floor below which the roots near a branch point do not resolve the sign
+    of Im w. Directly above a branch point that is Im z below about
+    2^(10 - bits) on the reference geometry. Each pair is held to its own
+    size, so the root near a large z does not widen the floor of the two
+    near the intervals.
     """
     with ctx.workprec():
         z = mp.mpc(z)
@@ -696,8 +685,8 @@ def chi_eval(curve_data, z, ctx, side=+1):
                 out[k] = roots.pop(min(range(len(roots)), key=lambda i: abs(roots[i] - B)))
         if not real_z:
             side = +1
-            floor = mp.ldexp(max(1, *(abs(r) for r in roots)), 4 - ctx.mantissa_bits // 2)
-            if min(abs(u - v) for i, u in enumerate(roots) for v in roots[:i]) <= floor:
+            if any(abs(u - v) <= mp.ldexp(max(1, abs(u), abs(v)), 4 - ctx.mantissa_bits // 2)
+                   for i, u in enumerate(roots) for v in roots[:i]):
                 raise ClassificationError("two roots closer than the square-root rounding floor; "
                                           "Im z is too small this near a branch point")
         roots.sort(key=lambda r: side * mp.im(r), reverse=True)
@@ -859,7 +848,7 @@ def equilibrium(curve_data, ctx):
 # Discrete-charge energy oracle (machine precision)
 # ---------------------------------------------------------------------------
 
-def energy_oracle(geometry, c, n_particles=400, iterations=2000, seed=0):
+def energy_oracle(geometry, c, n_particles=400, iterations=2000):
     """Best-effort endpoints by minimizing the discrete interaction energy.
 
     round(c N) charges of total mass c live on the first interval, the rest

@@ -44,6 +44,19 @@ def test_constants_small_c_field(tmp_path, capsys):
         assert mp.mpf(doc["A1"]) <= mp.mpf("1e-4")
 
 
+@pytest.mark.parametrize("c, beta", [("0.6", "-5.30781370372286375995349027593"),
+                                     ("0.5", "-10.2177784378111046087977418402")])
+def test_constants_pushed_at_and_above_one_half(tmp_path, capsys, c, beta):
+    # c* = 0.753 here: the pushed endpoint's cross-check must use the node of
+    # c, not of 1 - c, and hold at c = 1/2, where the node is at infinity
+    out = tmp_path / "c.json"
+    code, _, _ = run_cli(["constants", "--geom=-100,-1,1,1.01", "--c", c,
+                          "--bits", "192", "--out", str(out)], capsys)
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["regime"] == "pushed_left" and doc["beta_c1"] == beta
+
+
 def test_constants_malformed_geometry(capsys):
     code, _, err = run_cli(["constants", "--geom=-2,1,-1,2", "--c", "0.5",
                             "--bits", "256"], capsys)

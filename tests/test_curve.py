@@ -16,7 +16,6 @@ from angelesco.curve import (
     critical_thresholds,
     curve,
     curve_to_json,
-    dc_certificate,
     dc_oracle,
     energy_oracle,
     equilibrium,
@@ -243,6 +242,27 @@ def test_continuity_in_c():
             assert abs(getattr(up, k) - getattr(base, k)) < mp.mpf("5e-3")
 
 
+def _node_certificate(g, c, ctx):
+    """The discriminant cubic at the oracle's d, factored at twice the bits.
+
+    Returns (beta, node, split, third): the two roots nearest each other are
+    the node and their gap `split`; `third` is the remaining root."""
+    d, beta = dc_oracle(g, c, ctx)
+    with ctx.workprec():
+        c = mp.mpf(c)
+    with mp.workprec(2 * ctx.mantissa_bits):
+        a1, a2, b2 = g.alpha1, g.alpha2, g.beta2
+        K3, sig = 4 * (1 - c + c * c) ** 3, 27 * (c - c * c) ** 2
+        coeffs = [K3 - sig, -3 * K3 * d + sig * (a1 + a2 + b2),
+                  3 * K3 * d * d - sig * (a1 * a2 + a1 * b2 + a2 * b2),
+                  -K3 * d ** 3 + sig * a1 * a2 * b2]
+        roots = mp.polyroots(coeffs, maxsteps=200, extraprec=2 * ctx.mantissa_bits)
+        i, j = min(((i, j) for i in range(3) for j in range(i)),
+                   key=lambda ij: abs(roots[ij[0]] - roots[ij[1]]))
+        third = roots[3 - i - j]
+        return beta, (roots[i] + roots[j]) / 2, abs(roots[i] - roots[j]), third
+
+
 def test_dc_oracle_bracket_and_certificate():
     c = mp.mpf("0.05")
     d, beta = dc_oracle(G0, c, CTX)
@@ -252,11 +272,18 @@ def test_dc_oracle_bracket_and_certificate():
         hi = 4 * c / (1 - c) * (G0.beta2 - G0.alpha1)
         assert lo < beta - G0.alpha1 < hi
         assert G0.alpha1 < d < beta < G0.beta1
-    m, pm, dpm = dc_certificate(G0, c, d, CTX)
-    with CTX.workprec():
-        scale = max(1, abs(pm), abs(m)) * 64
-        assert abs(pm) < CTX.solve_tolerance * scale
-        assert abs(dpm) < mp.sqrt(CTX.solve_tolerance) * scale
+    # the node itself: two roots of the cubic agree to the square-root floor
+    # and the third is beta; above c = 1/2 the node lies right of beta2
+    ctx192 = PrecisionContext(192)
+    with ctx192.workprec():
+        marginal = Geometry("-100", "-1", "1", "1.01")
+    for g, c, ctx in ((G0, "0.05", CTX), (marginal, "0.6", ctx192)):
+        beta, node, split, third = _node_certificate(g, c, ctx)
+        bits = ctx.mantissa_bits
+        with ctx.workprec():
+            assert split <= mp.mpf(2) ** (8 - bits // 2) * max(1, abs(node))
+            assert abs(third - beta) <= mp.mpf(2) ** (8 - bits) * max(1, abs(beta))
+            assert mp.re(node) < g.alpha1 if mp.mpf(c) < 0.5 else mp.re(node) > g.beta2
 
 
 def test_dc_oracle_small_c_rate_monotone():
@@ -572,21 +599,21 @@ def test_chi_eval_domain_near_branch_point():
 
 def test_chi_eval_at_large_z():
     # mp.polyroots' fallback with extraprec = bits/2 raised mpmath's
-    # NoConvergence at these three points at 128 bits; with the extra
-    # precision sized by the coefficients it converges, and off the axis the
-    # largest root's rounding floor covers the pair near the intervals, a
-    # typed ClassificationError
+    # NoConvergence at these points at 128 bits; with the extra precision
+    # sized by the coefficients it converges. Off the axis each pair of roots
+    # is held to its own rounding floor, so the root near z does not make the
+    # pair near the intervals unresolvable (a ClassificationError at 128 bits
+    # while the floor was scaled by the largest root)
+    points = (mp.mpf("1e20"), mp.mpc("1e20", "1"), mp.mpc(0, "1e20"), mp.mpc("1e19", "1"),
+              mp.mpc("1e300", "1"), mp.mpc("-1e30", "1e-5"))
     for bits in (128, 192):
         ctx = PrecisionContext(bits)
         cd = curve(G0, "0.3", ctx, with_dc=False)
         with ctx.workprec():
-            for z in (mp.mpf("1e20"), mp.mpc("1e20", "1"), mp.mpc(0, "1e20")):
-                if bits == 128 and z.imag:
-                    with pytest.raises(ClassificationError):
-                        chi_eval(cd, z, ctx)
-                    continue
+            for z in points:
                 ch, ref = chi_eval(cd, z, ctx), _oracle_roots(cd, z, 2 * bits)
                 assert abs(ch[0] - z) <= 10
+                assert max(abs(ch[1] - cd.B1), abs(ch[2] - cd.B2)) <= mp.mpf("1e-10")
                 # two roots sit 1e-20 from the poles B1, B2, where R is too
                 # steep for its residual to show their error, so each is held
                 # against its own root of the oracle
@@ -747,25 +774,66 @@ def test_pushed_solve_near_marginal_direction_is_direct():
         assert abs(cd.beta_c1 - mp.mpf("-13.5272299886859325499887599418")) < mp.mpf("1e-27")
 
 
-def test_curve_dc_cross_check_through_oracle_continuation(monkeypatch):
-    # a direct dc_oracle solve fails here; its c-ladder reaches the node
-    # structure, and curve() holds the pushed beta against it
-    module = sys.modules["angelesco.curve"]
-    newton_calls = []
-    real_newton = module._newton
-
-    def counting(F, x0, ctx, **kwargs):
-        newton_calls.append(len(x0))
-        return real_newton(F, x0, ctx, **kwargs)
-
-    monkeypatch.setattr(module, "_newton", counting)
+def test_curve_dc_cross_check_through_oracle_continuation():
+    # curve() holds the pushed beta against dc_oracle, whose one scalar
+    # equation for the node needs no c-continuation here
     g = Geometry("-100", "-1", "1", "1.01")
     ctx = PrecisionContext(128)
     cd = curve(g, "0.48", ctx)
     assert cd.regime == PUSHED_LEFT
-    assert newton_calls.count(5) == 1 and newton_calls.count(3) > 1
     with ctx.workprec():
         assert abs(cd.beta_c1 - mp.mpf("-11.4638428104926560195070113815")) < mp.mpf("1e-27")
+
+
+@pytest.mark.parametrize("c, beta", [("0.4", "-17.5469391571621298862996284276"),
+                                     ("0.6", "-5.30781370372286375995349027593")])
+def test_dc_oracle_tells_c_from_one_minus_c(c, beta):
+    # c - c^2 and 1 - c + c^2 are symmetric about 1/2: the node of c is the
+    # root of the scalar equation left of alpha1 below 1/2, right of beta2 above
+    ctx = PrecisionContext(192)
+    with ctx.workprec():
+        g = Geometry("-100", "-1", "1", "1.01")
+        assert abs(dc_oracle(g, c, ctx)[1] - mp.mpf(beta)) < mp.mpf("1e-28")
+
+
+NAMED_GEOMETRIES = [("-2", "-1", "1", "2"), ("-2.3", "-1", "1", "1.9"), ("-1.1", "-1", "1", "5"),
+                    ("-3", "-2.9", "-2.8", "4"), ("-1.01", "-1", "1", "100"),
+                    ("-100", "-1", "1", "1.01")]
+
+
+def _dc_gap(endpoints, c_of, bits):
+    """|beta_dc - beta_pushed| in units of 2^(20 - bits) max(1, |beta|); c_of(c*) gives c."""
+    ctx = PrecisionContext(bits)
+    with ctx.workprec():
+        g = Geometry(*endpoints)
+        c = c_of(critical_thresholds(g, ctx).c_star)
+    cd = curve(g, c, ctx, with_dc=False)
+    assert cd.regime == PUSHED_LEFT
+    _, beta = dc_oracle(g, c, ctx)
+    with ctx.workprec():
+        return abs(beta - cd.beta_c1) / max(1, abs(cd.beta_c1)) / mp.mpf(2) ** (20 - bits)
+
+
+@settings(max_examples=25, deadline=None)
+@given(bits=st.sampled_from([128, 192, 512]),
+       geo=st.one_of(st.sampled_from(NAMED_GEOMETRIES),
+                     st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(-1.5, 0.7)).map(
+                         lambda t: (f"{-1 - 10 ** t[0]:.4f}", "-1", f"{-1 + 10 ** t[2]:.4f}",
+                                    f"{-1 + 10 ** t[2] + 10 ** t[1]:.4f}"))),
+       frac=st.sampled_from(["1e-6", "1e-3", "0.1", "0.3", "0.6", "0.9", "0.99"]))
+def test_dc_oracle_matches_pushed_solve(bits, geo, frac):
+    # c = frac c* on both sides of 1/2 (c* > 1/2 on the last named geometry)
+    assert _dc_gap(geo, lambda c_star: c_star * mp.mpf(frac), bits) <= 1
+
+
+@settings(max_examples=12, deadline=None)
+@given(bits=st.sampled_from([128, 192, 512]), sign=st.sampled_from([-1, 1]),
+       exponent=st.sampled_from([3, 10, 30, 60, 100, 200]))
+def test_dc_oracle_matches_pushed_solve_near_one_half(bits, sign, exponent):
+    # c = 1/2 +- 10^-exponent, below c* = 0.753; from 10^-60 at 128 bits and
+    # 10^-200 at 512 c rounds to 1/2, where the node is at infinity
+    offset = sign * mp.mpf(10) ** -exponent
+    assert _dc_gap(NAMED_GEOMETRIES[-1], lambda c_star: mp.mpf(1) / 2 + offset, bits) <= 1
 
 
 @settings(max_examples=20, deadline=None)
