@@ -31,7 +31,7 @@ from .errors import (
     SingularSystem,
     SolveFailure,
 )
-from .precision import PrecisionContext, gauss_legendre
+from .precision import PrecisionContext, find_root, gauss_legendre
 from .szego_maps import phi_map, w_map
 
 PUSHED_LEFT = "pushed_left"
@@ -54,7 +54,6 @@ class CurveData:
     w_crit: tuple  # (w1, w2, w3, w4)
     w_star: mp.mpf
     z_c: mp.mpf
-    d_c: object  # node of a pushed regime; None in the middle one or with with_dc=False
     solve_residual: mp.mpf
     geometry: object = None
 
@@ -103,40 +102,12 @@ def _Rpp(w, p):
     return 2 * A1 / (w - B1) ** 3 + 2 * A2 / (w - B2) ** 3
 
 
-def _bracketed_zero(f, fp, lo, hi, tol, ctx):
-    """The zero of f in the sign-change bracket [lo, hi], by Newton with f'.
-
-    A step that would leave the bracket, or a zero f', is replaced by
-    bisection. The step size is tested before the bracket: at the rounding
-    floor x - dx rounds to x, which is no longer strictly inside the shrunken
-    bracket.
-    """
-    lo_positive = f(lo) > 0
-    x = (lo + hi) / 2
-    for _ in range(2 * ctx.mantissa_bits + 128):
-        fx = f(x)
-        if fx == 0:
-            return x
-        if (fx > 0) == lo_positive:
-            lo = x
-        else:
-            hi = x
-        slope = fp(x)
-        dx = fx / slope if slope else mp.inf
-        if abs(dx) <= tol:
-            return x - dx
-        if hi - lo <= tol:
-            return (lo + hi) / 2
-        x = x - dx if lo < x - dx < hi else (lo + hi) / 2
-    raise SolveFailure("bracketed Newton did not converge")
-
-
 def _critical_points(p, ctx):
     """The four real zeros w1 < B1 < w2 <= w3 < B2 < w4 of R'.
 
     The outer pair is bracketed by expanding away from the poles; the middle
-    pair is split by the closed-form zero of R'' between the poles. Each
-    zero is then found by bracketed Newton with R'' (``_bracketed_zero``).
+    pair is split by the closed-form zero of R'' between the poles, so every
+    bracket holds one simple zero. Each is found by ``find_root`` with R''.
     """
     A1, A2, B1, B2 = p
     if not (A1 > 0 and A2 > 0 and B1 < B2):
@@ -161,7 +132,7 @@ def _critical_points(p, ctx):
             raise SolveFailure("poles too degenerate for bracketing")
 
     def zero(lo, hi):
-        return _bracketed_zero(lambda w: _Rp(w, p), lambda w: _Rpp(w, p), lo, hi, tol, ctx)
+        return find_root(lambda w: _Rp(w, p), lambda w: _Rpp(w, p), lo, hi, ctx, tol)
 
     w1 = zero(grow_bracket(B1, -1), B1 - inner)
     w4 = zero(B2 + inner, grow_bracket(B2, +1))
@@ -202,14 +173,14 @@ def _wstar_of_mass(p, w_crit, c):
 # Newton solvers
 # ---------------------------------------------------------------------------
 
-def _newton(F, x0, ctx, validator=None, max_iter=80):
-    """Damped Newton; F(x) returns (residual_vector, analytic jacobian)."""
+def _newton(F, x0, ctx, validator=None):
+    """Damped Newton, at most 80 steps; F(x) returns (residual_vector, analytic jacobian)."""
     from .precision import solve_dense
 
     x = [mp.mpf(v) for v in x0]
     fx, J = F(x)
     best = max(abs(v) for v in fx)
-    for _ in range(max_iter):
+    for _ in range(80):
         try:
             step, _ = solve_dense(J, [-v for v in fx], ctx)
         except (SingularSystem, ShapeError) as exc:
@@ -299,8 +270,8 @@ _FULL_MAP_CACHE = {}
 
 
 def _full_map(geometry, ctx):
-    """chi_solve on the full supports, once per (endpoints, bits, tolerance)."""
-    key = (geometry.as_tuple(), ctx.mantissa_bits, ctx.solve_tolerance)
+    """chi_solve on the full supports, once per (endpoints, bits)."""
+    key = (geometry.as_tuple(), ctx.mantissa_bits)
     hit = _FULL_MAP_CACHE.get(key)
     if hit is None:
         hit = _FULL_MAP_CACHE[key] = chi_solve(geometry.as_tuple(), ctx)
@@ -333,7 +304,7 @@ def _closed_form_degenerate(geometry, ctx):
             c=mp.mpf(0), regime=PUSHED_LEFT, beta_c1=g.alpha1, alpha_c2=g.alpha2,
             A1=mp.mpf(0), A2=A2, B1=B1, B2=B2,
             w_crit=(B1, B1, B2 - sA, B2 + sA), w_star=B1, z_c=g.alpha1,
-            d_c=g.alpha1, solve_residual=mp.mpf(0), geometry=g)
+            solve_residual=mp.mpf(0), geometry=g)
 
 
 # Below this fraction of c*, the pushed solve is seeded from the small-c laws;
@@ -396,7 +367,6 @@ def _mirror_curve(curve_data, geometry):
         beta_c1=-cd.alpha_c2, alpha_c2=-cd.beta_c1,
         A1=cd.A2, A2=cd.A1, B1=-cd.B2, B2=-cd.B1,
         w_crit=w, w_star=-cd.w_star, z_c=-cd.z_c,
-        d_c=(-cd.d_c if cd.d_c is not None else None),
         solve_residual=cd.solve_residual, geometry=geometry)
 
 
@@ -426,7 +396,7 @@ def curve(geometry, c, ctx, with_dc=True):
             z_c = min(max(z_c, g.beta1), g.alpha2)
             return CurveData(c=c, regime=MIDDLE, beta_c1=g.beta1, alpha_c2=g.alpha2,
                              A1=params[0], A2=params[1], B1=params[2], B2=params[3],
-                             w_crit=w_crit, w_star=w_star, z_c=z_c, d_c=None,
+                             w_crit=w_crit, w_star=w_star, z_c=z_c,
                              solve_residual=resid, geometry=g)
         if c < th.c_star:
             x, resid = _pushed_left_solve(g, c, th.c_star, ctx)
@@ -434,15 +404,14 @@ def curve(geometry, c, ctx, with_dc=True):
             if not (beta <= g.beta1 * (1 + ctx.solve_tolerance) + ctx.solve_tolerance):
                 raise InternalInconsistency("pushed endpoint exceeded the interval")
             w_crit = _critical_points(params, ctx)
-            d_c = None
             if with_dc:
-                d_c, beta_chk = dc_oracle(g, c, ctx)
+                _, beta_chk = dc_oracle(g, c, ctx)
                 if abs(beta_chk - beta) > mp.mpf(10) ** (-(ctx.mantissa_bits // 4)) * max(1, abs(beta)):
                     raise InternalInconsistency(
                         f"endpoint backends disagree: {mp.nstr(abs(beta_chk - beta), 5)}")
             return CurveData(c=c, regime=PUSHED_LEFT, beta_c1=beta, alpha_c2=g.alpha2,
                              A1=params[0], A2=params[1], B1=params[2], B2=params[3],
-                             w_crit=w_crit, w_star=w_crit[1], z_c=beta, d_c=d_c,
+                             w_crit=w_crit, w_star=w_crit[1], z_c=beta,
                              solve_residual=resid, geometry=g)
         mirrored = curve(g.mirrored(), 1 - c, ctx, with_dc=with_dc)
         return _mirror_curve(mirrored, g)
@@ -526,7 +495,7 @@ def dc_oracle(geometry, c, ctx):
                 step *= 2
             far = edge + side * step
             tol = mp.ldexp(max(1, abs(far)), 4 - ctx.mantissa_bits)
-            m = _bracketed_zero(G, Gp, min(edge, far), max(edge, far), tol, ctx)
+            m = find_root(G, Gp, min(edge, far), max(edge, far), ctx, tol)
             d = (e1 * m * m - 2 * e2 * m + 3 * e3) / qp(m)
 
         def P(z):
@@ -540,7 +509,7 @@ def dc_oracle(geometry, c, ctx):
                 f"no admissible node structure a1 < d < beta < beta1 at c={mp.nstr(c, 8)}; "
                 "c is at or beyond the lower threshold")
         tol = mp.ldexp(max(1, abs(a1), abs(g.beta1)), 4 - ctx.mantissa_bits)
-        return d, _bracketed_zero(P, Pp, d, g.beta1, tol, ctx)
+        return d, find_root(P, Pp, d, g.beta1, ctx, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -723,8 +692,8 @@ def h_eval_w(curve_data, w):
     return val
 
 
-def h_branch(curve_data, z, sheet, ctx, side=+1):
-    """Branch value h^(sheet)(z) = h(chi^(sheet)(z)).
+def h_branch(curve_data, z, sheet, ctx):
+    """Branch value h^(sheet)(z) = h(chi^(sheet)(z)), on a cut the limit from above.
 
     On the sheet of a collapsed support (A_sheet = 0, at c = 0 or 1) the
     measure mu_sheet is zero, so h^(sheet) = -C_{mu_sheet} is exactly 0.
@@ -734,16 +703,16 @@ def h_branch(curve_data, z, sheet, ctx, side=+1):
     with ctx.workprec():
         if sheet and curve_data.params()[sheet - 1] == 0:
             return mp.mpc(0)
-        w = chi_eval(curve_data, z, ctx, side=side)[sheet]
+        w = chi_eval(curve_data, z, ctx)[sheet]
         return h_eval_w(curve_data, w)
 
 
-def upsilon(curve_data, i, z, sheet, ctx, side=+1):
+def upsilon(curve_data, i, z, sheet, ctx):
     """A_i / (chi^(sheet)(z) - B_i)."""
     if i not in (1, 2):
         raise ValueError("i must be 1 or 2")
     with ctx.workprec():
-        w = chi_eval(curve_data, z, ctx, side=side)[sheet]
+        w = chi_eval(curve_data, z, ctx)[sheet]
         A = curve_data.A1 if i == 1 else curve_data.A2
         B = curve_data.B1 if i == 1 else curve_data.B2
         return A / (w - B)
@@ -781,7 +750,7 @@ def equilibrium(curve_data, ctx):
     def density(i):
         def f(x):
             with wctx.workprec():
-                h = h_branch(cd, mp.mpf(x), i, wctx, side=+1)
+                h = h_branch(cd, mp.mpf(x), i, wctx)
                 v = h.imag / mp.pi
                 if v < mp.mpf("-1e-12"):
                     raise InternalInconsistency(f"negative density {mp.nstr(v, 5)} at x={x}")

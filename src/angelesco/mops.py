@@ -703,19 +703,20 @@ def _cauchy_weighted(p, weight, geometry, z, ctx, n_nodes=None):
         return val.real if z.imag == 0 else val
 
 
-def _isolate_simple_roots(p, a, b, want, ctx, max_refine=6):
-    """All `want` simple roots of p in [a, b] via sign-change bisection."""
+def _isolate_simple_roots(p, a, b, want, ctx):
+    """All `want` simple roots of p in [a, b]: sign changes on a grid, then p'."""
     if want == 0:
         return []
+    dp = Poly([k * c for k, c in enumerate(p.coeffs)][1:])
     grid_n = max(8, 4 * want)
-    for _ in range(max_refine):
+    for _ in range(6):
         xs = [a + (b - a) * mp.mpf(k) / grid_n for k in range(grid_n + 1)]
         vals = [p(x) for x in xs]
         brackets = [(xs[k], xs[k + 1]) for k in range(grid_n)
                     if vals[k] != 0 and vals[k + 1] != 0 and mp.sign(vals[k]) != mp.sign(vals[k + 1])]
         exact = [x for x, v in zip(xs, vals) if v == 0]
         if len(brackets) + len(exact) == want:
-            roots = exact + [find_root(p, lo, hi, ctx, tol=ctx.solve_tolerance)
+            roots = exact + [find_root(p, dp, lo, hi, ctx, ctx.solve_tolerance)
                              for lo, hi in brackets]
             roots.sort()
             return roots

@@ -1,4 +1,4 @@
-"""Extended-precision kernel: quadrature, dense solves, root finding, polynomials.
+"""Extended-precision kernel: quadrature, dense solves, bracketed Newton, polynomials.
 
 Real/complex scalars are mpmath ``mpf``/``mpc`` values created under a
 :class:`PrecisionContext`; every public operation wraps its arithmetic in the
@@ -14,6 +14,7 @@ from .errors import (
     BracketError,
     ShapeError,
     SingularSystem,
+    SolveFailure,
 )
 
 EIG_DIM_CAP = 5000
@@ -22,21 +23,18 @@ EIG_DIM_CAP = 5000
 class PrecisionContext:
     """Arithmetic context with a fixed mantissa size.
 
-    solve_tolerance defaults to 2**(-mantissa_bits/2) and is used as the
-    pivot/stop threshold by the solvers in this module.
+    solve_tolerance is 2**(-mantissa_bits/2), the pivot/stop threshold of
+    the solvers in this module.
     """
 
     __slots__ = ("mantissa_bits", "solve_tolerance")
 
-    def __init__(self, mantissa_bits=512, solve_tolerance=None):
+    def __init__(self, mantissa_bits=512):
         if int(mantissa_bits) < 128:
             raise ValueError("mantissa_bits must be at least 128")
         self.mantissa_bits = int(mantissa_bits)
         with mp.workprec(self.mantissa_bits):
-            if solve_tolerance is None:
-                self.solve_tolerance = mp.mpf(2) ** (-self.mantissa_bits // 2)
-            else:
-                self.solve_tolerance = mp.mpf(solve_tolerance)
+            self.solve_tolerance = mp.mpf(2) ** (-self.mantissa_bits // 2)
 
     def workprec(self):
         return mp.workprec(self.mantissa_bits)
@@ -95,12 +93,6 @@ class Poly:
     def shift_mul_x(self):
         """Return x * p(x)."""
         return Poly([mp.mpf(0)] + list(self.coeffs))
-
-    def coeff(self, k):
-        """Coefficient of x**k (0 outside range, including negative k)."""
-        if k < 0 or k > self.degree:
-            return mp.mpf(0)
-        return self.coeffs[k]
 
     def max_abs_coeff(self):
         return max((abs(c) for c in self.coeffs), default=mp.mpf(0))
@@ -278,52 +270,43 @@ def sym_eig(S, want_vectors=False, sym_tol=1e-12):
 # Root finding
 # ---------------------------------------------------------------------------
 
-def find_root(f, lo, hi, ctx, tol=None):
-    """Bracketed bisection/regula falsi hybrid with the Illinois update.
+def find_root(f, fp, lo, hi, ctx, tol=None):
+    """The zero of f in the sign-change bracket [lo, hi], by Newton with f'.
 
-    Requires f(lo) * f(hi) < 0. Every other step bisects, so the bracket
-    provably halves; the steps between are regula falsi, and an end that two
-    of them keep in a row has its stored value halved (Illinois), which sends
-    the next one past the root so that both ends close in superlinearly.
-    Stops when |f| <= tol or the bracket width falls below tol (default:
-    context solve_tolerance scaled by the bracket).
+    The package's one bracketed zero finder. An exact zero at either end is
+    returned; no sign change raises BracketError. Newton starts at the
+    midpoint; a step that would leave the bracket, or a zero f', bisects.
+    It stops once the step or the bracket is within tol (default: the solve
+    tolerance scaled by the bracket), the step tested first: at the rounding
+    floor x - dx rounds to x, no longer strictly inside the shrunken
+    bracket. SolveFailure after 2 bits + 128 steps. Convergence is quadratic
+    on a simple zero, only linear (rate 1 - 1/k) on a k-fold one.
     """
     with ctx.workprec():
-        a, b = mp.mpf(lo), mp.mpf(hi)
-        if tol is None:
-            tol = ctx.solve_tolerance * max(1, abs(a), abs(b))
-        else:
-            tol = mp.mpf(tol)
-        fa, fb = mp.mpf(f(a)), mp.mpf(f(b))
-        if fa == 0:
-            return a
-        if fb == 0:
-            return b
-        if mp.sign(fa) == mp.sign(fb):
+        lo, hi = mp.mpf(lo), mp.mpf(hi)
+        tol = ctx.solve_tolerance * max(1, abs(lo), abs(hi)) if tol is None else mp.mpf(tol)
+        f_lo, f_hi = f(lo), f(hi)
+        if f_lo == 0:
+            return lo
+        if f_hi == 0:
+            return hi
+        lo_positive = f_lo > 0
+        if lo_positive == (f_hi > 0):
             raise BracketError("no sign change on bracket")
-        kept, streak = 0, 0  # the end the regula falsi steps kept, and how often in a row
-        for it in range(2 * ctx.mantissa_bits + 128):
-            if abs(b - a) <= tol:
-                break
-            secant = it % 2 == 0
-            if secant:
-                # Illinois: halve the value at an end kept twice in a row
-                ga = fa / 2 if kept == -1 and streak >= 2 else fa
-                gb = fb / 2 if kept == 1 and streak >= 2 else fb
-                x = b - gb * (b - a) / (gb - ga)
-            else:
-                x = (a + b) / 2
-            if not a < x < b:
-                x = (a + b) / 2
-            fx = mp.mpf(f(x))
-            if fx == 0 or abs(fx) <= tol and abs(b - a) <= mp.sqrt(tol):
+        x = (lo + hi) / 2
+        for _ in range(2 * ctx.mantissa_bits + 128):
+            fx = f(x)
+            if fx == 0:
                 return x
-            side = 1 if mp.sign(fx) == mp.sign(fa) else -1
-            if side == 1:
-                a, fa = x, fx
+            if (fx > 0) == lo_positive:
+                lo = x
             else:
-                b, fb = x, fx
-            if secant:
-                streak = streak + 1 if side == kept else 1
-                kept = side
-        return (a + b) / 2
+                hi = x
+            slope = fp(x)
+            dx = fx / slope if slope else mp.inf
+            if abs(dx) <= tol:
+                return x - dx
+            if hi - lo <= tol:
+                return (lo + hi) / 2
+            x = x - dx if lo < x - dx < hi else (lo + hi) / 2
+        raise SolveFailure("bracketed Newton did not converge")

@@ -21,7 +21,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ShapeError, SourceError
-from .precision import PrecisionContext
+from .precision import PrecisionContext, find_root
 
 # the most eigenvalues spectrum_probe bisects for at once (about ten float arrays
 # of this length) and the most vertices build_tree lays out (seven integer arrays)
@@ -371,15 +371,15 @@ class _PivotClasses:
             lo[live[~above]] = mid[live[~above]]
 
 
-def spectrum_probe(truncation, intervals, epsilon, grid_step=0.01):
+def spectrum_probe(truncation, intervals, epsilon):
     """Eigenvalues of the truncation against a target union of intervals.
 
     The eigenvalues come from bisection on Sylvester inertia counts over the
     truncation's pivot classes (no dense matrix is formed); the truncation
     must be a tree in heap order, as every assembled one is. Returns the
     ascending eigenvalues, the fraction inside the epsilon-fattened target,
-    and the largest distance from a target grid point to the nearest
-    eigenvalue.
+    and the largest distance from a point of the target's grid of step 0.01
+    to the nearest eigenvalue.
     """
     if truncation.dim > EIG_COUNT_CAP:
         raise ShapeError(f"dimension {truncation.dim} exceeds cap {EIG_COUNT_CAP}")
@@ -391,7 +391,7 @@ def spectrum_probe(truncation, intervals, epsilon, grid_step=0.01):
     inside = int(np.count_nonzero(dist <= epsilon))
     gaps = []
     for a, b in intervals:
-        grid = np.arange(a, b + grid_step / 2, grid_step)
+        grid = np.arange(a, b + 0.005, 0.01)
         i = np.searchsorted(eigs, grid)
         right = np.abs(eigs[np.minimum(i, len(eigs) - 1)] - grid)
         left = np.abs(eigs[np.maximum(i - 1, 0)] - grid)
@@ -419,12 +419,13 @@ class MFunctionPair:
         return self.m1 if l == 1 else self.m2
 
 
-def m_recursion(curve_data, l, z, iterations=600, tol=1e-12):
+def m_recursion(curve_data, l, z):
     """Resolvent diagonal at the root by the coupled fixed point.
 
     Deleting the root edges shows the two subtree resolvents solve
     m_l = 1/(B_l - A_1 m_1 - A_2 m_2 - z); iterate from (0, 0), which stays
-    Herglotz at every step, until both residuals drop below tol.
+    Herglotz at every step, until both residuals drop below 1e-12, for at
+    most 600 steps.
     """
     z = complex(z)
     if z.imag <= 0:
@@ -432,37 +433,37 @@ def m_recursion(curve_data, l, z, iterations=600, tol=1e-12):
     A1, A2 = float(curve_data.A1), float(curve_data.A2)
     B1, B2 = float(curve_data.B1), float(curve_data.B2)
     m1 = m2 = 0j
-    for _ in range(iterations):
+    for _ in range(600):
         n1 = 1.0 / (B1 - A1 * m1 - A2 * m2 - z)
         n2 = 1.0 / (B2 - A1 * m1 - A2 * m2 - z)
         m1, m2 = n1, n2
         r1 = abs(m1 * (B1 - A1 * m1 - A2 * m2 - z) - 1)
         r2 = abs(m2 * (B2 - A1 * m1 - A2 * m2 - z) - 1)
-        if max(r1, r2) <= tol:
+        if max(r1, r2) <= 1e-12:
             return MFunctionPair(m1, m2)
-    raise ConvergenceError("fixed point did not converge; increase Im z or iterations")
+    raise ConvergenceError("fixed point did not converge in 600 steps; Im z is too small")
 
 
-def m_closed_pair(curve_data, z, ctx, side=+1):
-    """Closed forms -1/(chi^(0)(z) - B_l), l = 1, 2, from one sheet evaluation."""
+def m_closed_pair(curve_data, z, ctx):
+    """Closed forms -1/(chi^(0)(z) - B_l), l = 1, 2, from one sheet evaluation (m_+ on a cut)."""
     from .curve import chi_eval
 
     with ctx.workprec():
-        w0 = chi_eval(curve_data, z, ctx, side=side)[0]
+        w0 = chi_eval(curve_data, z, ctx)[0]
         return MFunctionPair(complex(-1 / (w0 - curve_data.B1)),
                              complex(-1 / (w0 - curve_data.B2)))
 
 
-def m_closed(curve_data, l, z, ctx, side=+1):
+def m_closed(curve_data, l, z, ctx):
     """Closed form -1/(chi^(0)(z) - B_l) through the sheet solver."""
     if l not in (1, 2):
         raise ValueError("l must be 1 or 2")
-    return m_closed_pair(curve_data, z, ctx, side=side).get(l)
+    return m_closed_pair(curve_data, z, ctx).get(l)
 
 
 def m_spectral_density(curve_data, l, x, ctx):
     """Im m_+(x)/pi on the support interiors (nonnegative)."""
-    val = m_closed(curve_data, l, x, ctx, side=+1)
+    val = m_closed(curve_data, l, x, ctx)
     return val.imag / np.pi
 
 
@@ -492,13 +493,16 @@ def appendix_c0(geometry, ctx, depth=40):
         def pole_eq(zz):
             return A2 * m_hat1(zz) + zz - B1
 
+        def pole_eq_prime(zz):
+            # w' = (z - (alpha2 + beta2)/2) / w off [alpha2, beta2]
+            return (1 + (zz - (g.alpha2 + g.beta2) / 2) / w_map(zz, g.alpha2, g.beta2)) / 2
+
         identity_residual = abs(pole_eq(g.alpha1))
         m_hat1_at_alpha1 = m_hat1(g.alpha1)
         # locate the pole of the second block's resolvent
-        from .precision import find_root
         lo = g.alpha1 - (g.beta2 - g.alpha1)
         hi = g.alpha2 - (g.alpha2 - g.beta1) / 100
-        pole = find_root(pole_eq, lo, hi, ctx)
+        pole = find_root(pole_eq, pole_eq_prime, lo, hi, ctx)
 
         band = (B2 - 2 * mp.sqrt(A2), B2 + 2 * mp.sqrt(A2))
 

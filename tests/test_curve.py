@@ -717,7 +717,7 @@ def test_pushed_soft_edge_density_vanishes():
         vals = []
         for d in ("1e-2", "1e-4", "1e-6"):
             x = b - mp.mpf(d) * (b - a)
-            vals.append(h_branch(cd, x, 1, ctx, side=+1).imag / mp.pi)
+            vals.append(h_branch(cd, x, 1, ctx).imag / mp.pi)
         assert all(v > 0 for v in vals)
         # square-root vanishing: each factor-100 step scales by about 10
         assert abs(vals[0] / vals[1] / 10 - 1) < mp.mpf("0.05")

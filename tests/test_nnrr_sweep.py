@@ -45,8 +45,8 @@ def dense_nnrr(system, n):
     subleading coefficients."""
     sol = system.solution(n)
     a = [sol.h(j) / system.solution(n.minus(j)).h(j) if n.component(j) else 0 for j in (1, 2)]
-    b = [sol.p_monic.coeff(n.norm - 1) - system.solution(n.plus(j)).p_monic.coeff(n.norm)
-         for j in (1, 2)]
+    sub = sol.p_monic.coeffs[n.norm - 1] if n.norm else 0
+    b = [sub - system.solution(n.plus(j)).p_monic.coeffs[n.norm] for j in (1, 2)]
     return (*a, *b)
 
 

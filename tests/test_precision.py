@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.calculus.quadrature import GaussLegendre
 
-from angelesco.errors import BracketError, ShapeError, SingularSystem
+from angelesco.errors import BracketError, ShapeError, SingularSystem, SolveFailure
 from angelesco.precision import (
     PrecisionContext,
     Poly,
@@ -208,19 +208,52 @@ def test_sym_eig_rejects_asymmetry():
 
 
 def test_find_root_basics():
-    r = find_root(lambda x: x * x - 2, 1, 2, CTX)
+    r = find_root(lambda x: x * x - 2, lambda x: 2 * x, 1, 2, CTX)
     with CTX.workprec():
         assert abs(r - mp.sqrt(2)) < CTX.solve_tolerance * 4
-    r = find_root(lambda x: x * x - 2, 1, 2, CTX, tol=mp.mpf(2) ** -250)
+    r = find_root(lambda x: x * x - 2, lambda x: 2 * x, 1, 2, CTX, tol=mp.mpf(2) ** -250)
     with CTX.workprec():
         assert abs(r - mp.sqrt(2)) < mp.mpf("1e-70")
-    r0 = find_root(lambda x: x, -1, 1, CTX)
+    r0 = find_root(lambda x: x, lambda x: 1, -1, 1, CTX)
     assert abs(r0) < mp.mpf("1e-70")
-    rc = find_root(mp.cos, 1, 2, CTX, tol=mp.mpf("1e-60"))
+    rc = find_root(mp.cos, lambda x: -mp.sin(x), 1, 2, CTX, tol=mp.mpf("1e-60"))
     with CTX.workprec():
         assert abs(rc - mp.pi / 2) < mp.mpf("1e-55")
-    with pytest.raises(BracketError):
-        find_root(lambda x: x * x + 1, -1, 1, CTX)
+    for f in (lambda x: x * x + 1, lambda x: -x * x - 1, lambda x: (x - 3) ** 2):
+        with pytest.raises(BracketError):
+            find_root(f, lambda x: 2 * x, -1, 2, CTX)
+
+
+def test_find_root_exact_zero_at_an_end():
+    def no_slope(x):
+        raise AssertionError("an exact zero at an end needs no Newton step")
+
+    assert find_root(lambda x: x - 1, no_slope, 1, 2, CTX) == 1
+    assert find_root(lambda x: x - 2, no_slope, 1, 2, CTX) == 2
+
+
+def test_find_root_bisects_where_the_slope_vanishes():
+    # f' = 3x^2 is 0 at the bracket's midpoint, the first Newton point
+    slopes = []
+    r = find_root(lambda x: x ** 3 - mp.mpf(1) / 8, lambda x: slopes.append(x) or 3 * x * x,
+                  -1, 1, CTX)
+    assert slopes[0] == 0
+    with CTX.workprec():
+        assert abs(r - mp.mpf(1) / 2) <= CTX.solve_tolerance
+
+
+def test_find_root_exhausted_budget_raises():
+    # 3x - 1, exact, has no zero among the binary floats: with tol = 0 the
+    # bracket closes to two neighbours and the step budget runs out
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return mp.fsub(mp.fmul(3, x, exact=True), 1, exact=True)
+
+    with pytest.raises(SolveFailure):
+        find_root(f, lambda x: 3, 0, 1, CTX, tol=0)
+    assert len(calls) == 2 * CTX.mantissa_bits + 128 + 2
 
 
 def test_find_root_superlinear_with_bisection_guard():
@@ -228,25 +261,27 @@ def test_find_root_superlinear_with_bisection_guard():
     with ctx.workprec():
         plastic = mp.cbrt((9 + mp.sqrt(69)) / 18) + mp.cbrt((9 - mp.sqrt(69)) / 18)
         simple = [
-            (lambda x: x * x - 2, 1, 2, mp.sqrt(2)),
-            (mp.cos, 1, 2, mp.pi / 2),
-            (lambda x: mp.exp(x) - 3, 0, 5, mp.log(3)),
-            (lambda x: x ** 3 - x - 1, 1, 2, plastic),
-            (lambda x: mp.atan(1000 * (x - mp.mpf("0.3"))), -1, 2, mp.mpf("0.3")),
+            (lambda x: x * x - 2, lambda x: 2 * x, 1, 2, mp.sqrt(2)),
+            (mp.cos, lambda x: -mp.sin(x), 1, 2, mp.pi / 2),
+            (lambda x: mp.exp(x) - 3, mp.exp, 0, 5, mp.log(3)),
+            (lambda x: x ** 3 - x - 1, lambda x: 3 * x * x - 1, 1, 2, plastic),
+            # Newton alone diverges on atan from most starts; the bracket catches it
+            (lambda x: mp.atan(1000 * (x - mp.mpf("0.3"))),
+             lambda x: 1000 / (1 + (1000 * (x - mp.mpf("0.3"))) ** 2), -1, 2, mp.mpf("0.3")),
         ]
-    for f, lo, hi, root in simple:
+    for f, fp, lo, hi, root in simple:
         calls = []
-        r = find_root(lambda x: calls.append(x) or f(x), lo, hi, ctx)
+        r = find_root(lambda x: calls.append(x) or f(x), fp, lo, hi, ctx)
         with ctx.workprec():
             assert abs(r - root) <= ctx.solve_tolerance * max(1, abs(lo), abs(hi))
         assert len(calls) <= 30
-    # a fivefold root gives regula falsi nothing: the bisections still halve
-    # the bracket every other step
+    # on a fivefold root Newton converges only linearly, at rate 4/5: the
+    # zero is still found, within the step budget
     calls = []
-    r = find_root(lambda x: calls.append(x) or x ** 5, -1, 3, ctx)
+    r = find_root(lambda x: calls.append(x) or x ** 5, lambda x: 5 * x ** 4, -1, 3, ctx)
     with ctx.workprec():
         assert abs(r) ** 5 <= ctx.solve_tolerance * 3
-        assert len(calls) <= 2 * (mp.log(4 / (ctx.solve_tolerance * 3), 2) + 2)
+    assert len(calls) <= 2 * ctx.mantissa_bits + 128 + 2
 
 
 def test_precision_monotonicity_on_fixed_corpus():
@@ -263,7 +298,7 @@ def test_precision_monotonicity_on_fixed_corpus():
             p = Poly(list(range(1, 12)))
             anti = Poly([mp.mpf(0)] + [c / (k + 1) for k, c in enumerate(p.coeffs)])
             e_quad = abs(integrate(p, (0, 1), 6, ctx) - (anti(mp.mpf(1)) - anti(mp.mpf(0))))
-            r = find_root(lambda t: t * t - 2, 1, 2, ctx)
+            r = find_root(lambda t: t * t - 2, lambda t: 2 * t, 1, 2, ctx)
             e_root = abs(r - mp.sqrt(2))
         errs[bits] = (e_solve, e_quad, e_root)
     for e512, e256 in zip(errs[512], errs[256]):

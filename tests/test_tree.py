@@ -13,8 +13,9 @@ from scipy import sparse
 from angelesco import precision
 from angelesco.curve import curve
 from angelesco.errors import DomainError, ShapeError, SourceError
-from angelesco.mops import AngelescoSystem, lebesgue_weights, reference_geometry
+from angelesco.mops import AngelescoSystem, Geometry, lebesgue_weights, reference_geometry
 from angelesco.precision import PrecisionContext, sym_eig
+from angelesco.szego_maps import w_map
 from angelesco.tree import (
     ComputedSource,
     PerturbedSource,
@@ -391,6 +392,25 @@ def test_appendix_decoupling_report():
         assert abs(rep["band"][1] - 2) < mp.mpf("1e-30")
     assert rep["n_near_pole"] == 1
     assert rep["n_outside"] == 0
+
+
+@pytest.mark.parametrize("endpoints", [("-2", "-1", "1", "2"), ("-2.3", "-1", "1", "1.9"),
+                                       ("-1.01", "-1", "1", "100"), ("-100", "-1", "1", "1.01")])
+def test_appendix_pole_matches_findroot_at_twice_the_bits(endpoints):
+    # the pole solves (B2 - z + w(z))/2 + z - B1 = 0 with the c = 0 constants;
+    # mpmath's own solver at twice the bits is the reference
+    for bits in (128, 256):
+        ctx, ref_ctx = PrecisionContext(bits), PrecisionContext(2 * bits)
+        with ctx.workprec():
+            g = Geometry(*[mp.mpf(v) for v in endpoints])
+        pole = appendix_c0(g, ctx, depth=10)["pole"]
+        with ref_ctx.workprec():
+            g = Geometry(*[mp.mpf(v) for v in endpoints])
+            cd = curve(g, 0, ref_ctx)
+            bracket = (g.alpha1 - (g.beta2 - g.alpha1), g.alpha2 - (g.alpha2 - g.beta1) / 100)
+            ref = mp.findroot(lambda z: (cd.B2 - z + w_map(z, g.alpha2, g.beta2)) / 2 + z - cd.B1,
+                              bracket, solver="anderson")
+            assert abs(pole - ref) <= mp.ldexp(max(1, abs(ref)), 8 - bits)
 
 
 def test_ray_path_and_rlimit_synthetic(synthetic):
