@@ -18,15 +18,13 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import __version__
-from .curve import critical_thresholds, curve, curve_to_json, equilibrium
+from .curve import DIGITS, critical_thresholds, curve, curve_to_json, equilibrium
 from .errors import AngelescoError
 from .mops import AngelescoSystem, Geometry, NnrrTable, WeightSpec
 from .precision import PrecisionContext
 from .szego import ratio_report, ratio_report_csv
 from .tree import (SyntheticSource, assemble_J, assemble_L, build_tree, m_closed_pair, m_recursion,
                    spectrum_probe)
-
-DIGITS = 30
 
 
 def _parse_geometry(text, ctx):
@@ -137,7 +135,7 @@ def cmd_constants(args, ctx):
     geometry = _parse_geometry(args.geom, ctx)
     th = critical_thresholds(geometry, ctx)
     cd = curve(geometry, args.c, ctx)
-    _write_out(args.out, curve_to_json(cd, th, digits=DIGITS) + "\n")
+    _write_out(args.out, curve_to_json(cd, th) + "\n")
     return 0
 
 

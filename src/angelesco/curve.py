@@ -103,70 +103,48 @@ def _Rpp(w, p):
 
 
 def _critical_points(p, ctx):
-    """The four real zeros w1 < B1 < w2 <= w3 < B2 < w4 of R'.
+    """The four real zeros w1 < B1 < w2 <= w3 < B2 < w4 of R', by ``find_root`` with R''.
 
-    The outer pair is bracketed by expanding away from the poles; the middle
-    pair is split by the closed-form zero of R'' between the poles, so every
-    bracket holds one simple zero. Each is found by ``find_root`` with R''.
+    With s = sqrt(A1 + A2), R' <= -3 within sqrt(A_k)/2 of B_k and R' >= 3/4
+    at 2s beyond both poles, and R''' < 0 makes R' monotone on each side of
+    B1, of B2 and of wm, the one zero of R'' between the poles. So each of
+    [B1 - 2s, B1 - sqrt(A1)/2], [B1 + sqrt(A1)/2, wm], [wm, B2 - sqrt(A2)/2]
+    and [B2 + sqrt(A2)/2, B2 + 2s] holds one simple zero. SolveFailure when
+    the middle pair is not real (wm within sqrt(A_k)/2 of B_k, or R'(wm) <= 0),
+    and when min sqrt(A_k)/2 <= solve tolerance * max(1, |B1|, |B2|): there
+    B_k +- sqrt(A_k)/2 does not resolve the pole.
     """
     A1, A2, B1, B2 = p
     if not (A1 > 0 and A2 > 0 and B1 < B2):
         raise SolveFailure("parameters out of range for critical-point search")
+    scale = max(1, abs(B1), abs(B2))
+    r1, r2 = mp.sqrt(A1) / 2, mp.sqrt(A2) / 2
+    if min(r1, r2) <= ctx.solve_tolerance * scale:
+        raise SolveFailure("poles too degenerate for bracketing")
+    # R'' has exactly one zero between the poles, at the top of the bump
+    t = (A2 / A1) ** (mp.mpf(1) / 3)
+    wm = (B2 + t * B1) / (1 + t)
+    if not (B1 + r1 < wm < B2 - r2 and _Rp(wm, p) > 0):
+        raise SolveFailure("middle critical points are not real")
+    far = 2 * mp.sqrt(A1 + A2)
     # full-precision refinement: the mass condition is first order in the w_j
-    tol = mp.mpf(2) ** (4 - ctx.mantissa_bits) * max(1, abs(B1), abs(B2))
-
-    def grow_bracket(start, direction):
-        step = mp.sqrt(A1 + A2) + (B2 - B1) / 4
-        x = start + direction * step
-        for _ in range(200):
-            if _Rp(x, p) > 0:
-                return x
-            step *= 2
-            x = start + direction * step
-        raise SolveFailure("could not bracket an outer critical point")
-
-    inner = mp.sqrt(A1 + A2) * mp.mpf("1e-3")
-    while _Rp(B1 - inner, p) > 0 or _Rp(B2 + inner, p) > 0:
-        inner /= 65536
-        if inner < ctx.solve_tolerance:
-            raise SolveFailure("poles too degenerate for bracketing")
+    tol = mp.mpf(2) ** (4 - ctx.mantissa_bits) * scale
 
     def zero(lo, hi):
         return find_root(lambda w: _Rp(w, p), lambda w: _Rpp(w, p), lo, hi, ctx, tol)
 
-    w1 = zero(grow_bracket(B1, -1), B1 - inner)
-    w4 = zero(B2 + inner, grow_bracket(B2, +1))
-    # R'' has exactly one zero between the poles, at the top of the bump
-    t = (A2 / A1) ** (mp.mpf(1) / 3)
-    wm = (B2 + t * B1) / (1 + t)
-    if not (_Rp(wm, p) > 0):
-        raise SolveFailure("middle critical points are not real")
-    innerL = inner
-    while _Rp(B1 + innerL, p) > 0:
-        innerL /= 65536
-    innerR = inner
-    while _Rp(B2 - innerR, p) > 0:
-        innerR /= 65536
-    w2 = zero(B1 + innerL, wm)
-    w3 = zero(wm, B2 - innerR)
-    return (w1, w2, w3, w4)
+    return (zero(B1 - far, B1 - r1), zero(B1 + r1, wm), zero(wm, B2 - r2), zero(B2 + r2, B2 + far))
 
 
 def _mass_of_wstar(p, w_crit, w_star):
     """The c-value whose h-divisor zero sits over w_star (linear in w_star)."""
     A1, A2, B1, B2 = p
-    prod = mp.mpf(1)
-    for wj in w_crit:
-        prod *= (B1 - wj)
-    return -A1 * (B1 - B2) * (B1 - w_star) / prod
+    return -A1 * (B1 - B2) * (B1 - w_star) / mp.fprod(B1 - wj for wj in w_crit)
 
 
 def _wstar_of_mass(p, w_crit, c):
     A1, A2, B1, B2 = p
-    prod = mp.mpf(1)
-    for wj in w_crit:
-        prod *= (B1 - wj)
-    return B1 + c * prod / (A1 * (B1 - B2))
+    return B1 + c * mp.fprod(B1 - wj for wj in w_crit) / (A1 * (B1 - B2))
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +152,12 @@ def _wstar_of_mass(p, w_crit, c):
 # ---------------------------------------------------------------------------
 
 def _newton(F, x0, ctx, validator=None):
-    """Damped Newton, at most 80 steps; F(x) returns (residual_vector, analytic jacobian)."""
+    """Damped Newton, at most 80 steps, on F(x) = (residuals, Jacobian, critical points of R);
+    returns (x, residual, critical points) of the accepted iterate."""
     from .precision import solve_dense
 
     x = [mp.mpf(v) for v in x0]
-    fx, J = F(x)
+    fx, J, w_crit = F(x)
     best = max(abs(v) for v in fx)
     for _ in range(80):
         try:
@@ -190,21 +169,21 @@ def _newton(F, x0, ctx, validator=None):
             xn = [xi + lam * si for xi, si in zip(x, step)]
             if validator is None or validator(xn):
                 try:
-                    fn, Jn = F(xn)
+                    fn, Jn, wn = F(xn)
                 except (SolveFailure, ZeroDivisionError, ValueError):
                     fn = None
                 else:
                     if all(mp.isfinite(v) for v in fn):
                         r = max(abs(v) for v in fn)
                         if r < best or r < ctx.solve_tolerance:
-                            x, fx, J, best = xn, fn, Jn, r
+                            x, fx, J, w_crit, best = xn, fn, Jn, wn, r
                             break
             lam /= 2
         else:
             break
         if best == 0 or best < mp.mpf(2) ** (8 - ctx.mantissa_bits) * _scale_of(x):
             break
-    return x, best
+    return x, best, w_crit
 
 
 def _scale_of(x):
@@ -212,7 +191,7 @@ def _scale_of(x):
 
 
 def _chi_residual_rows(params, targets, ctx):
-    """Residuals R(w_j) - target_j and the analytic Jacobian rows.
+    """Residuals R(w_j) - target_j, the analytic Jacobian rows and the w_j.
 
     Because R'(w_j) = 0 at a critical point, d R(w_j)/d(param) is just the
     partial of R with the point held fixed.
@@ -252,18 +231,11 @@ def chi_solve(branch_points, ctx):
         if not all(x < y for x, y in zip(bp, bp[1:])):
             raise SolveFailure("branch points must be strictly increasing")
 
-        def F(y):
-            rows, J, _ = _chi_residual_rows(y, bp, ctx)
-            return rows, J
-
-        x, _ = _newton(F, _default_seed(bp), ctx,
-                       validator=lambda y: y[0] > 0 and y[1] > 0 and y[2] < y[3])
-        params = tuple(x)
-        w_crit = _critical_points(params, ctx)
-        resid = max(abs(_R(wj, params) - t) for wj, t in zip(w_crit, bp))
+        x, resid, w_crit = _newton(lambda y: _chi_residual_rows(y, bp, ctx), _default_seed(bp),
+                                   ctx, validator=lambda y: y[0] > 0 and y[1] > 0 and y[2] < y[3])
         if resid > ctx.solve_tolerance * max(1, max(abs(v) for v in bp)):
             raise SolveFailure(f"residual {mp.nstr(resid, 5)} above tolerance")
-        return params, w_crit, resid
+        return tuple(x), w_crit, resid
 
 
 _FULL_MAP_CACHE = {}
@@ -346,15 +318,15 @@ def _pushed_left_solve(geometry, c, c_star, ctx):
             for k in range(4):
                 dlog[k] -= ((k == 2) + dRp[k] / Rpp) / (B1 - wj)
         J.append([mass * v for v in dlog] + [mp.mpf(0)])
-        return rows + [mass - c], J
+        return rows + [mass - c], J, w_crit
 
     def validator(x):
         return x[0] > 0 and x[1] > 0 and x[2] < x[3] and g.alpha1 < x[4] < g.alpha2
 
-    x, resid = _newton(F, x0, ctx, validator=validator)
+    x, resid, w_crit = _newton(F, x0, ctx, validator=validator)
     if resid > ctx.solve_tolerance * _scale_of(x):
         raise SolveFailure(f"pushed-regime residual {mp.nstr(resid, 5)}")
-    return x, resid
+    return x, resid, w_crit
 
 
 def _mirror_curve(curve_data, geometry):
@@ -399,11 +371,10 @@ def curve(geometry, c, ctx, with_dc=True):
                              w_crit=w_crit, w_star=w_star, z_c=z_c,
                              solve_residual=resid, geometry=g)
         if c < th.c_star:
-            x, resid = _pushed_left_solve(g, c, th.c_star, ctx)
+            x, resid, w_crit = _pushed_left_solve(g, c, th.c_star, ctx)
             params, beta = tuple(x[:4]), x[4]
             if not (beta <= g.beta1 * (1 + ctx.solve_tolerance) + ctx.solve_tolerance):
                 raise InternalInconsistency("pushed endpoint exceeded the interval")
-            w_crit = _critical_points(params, ctx)
             if with_dc:
                 _, beta_chk = dc_oracle(g, c, ctx)
                 if abs(beta_chk - beta) > mp.mpf(10) ** (-(ctx.mantissa_bits // 4)) * max(1, abs(beta)):
@@ -604,7 +575,7 @@ def _cubic_roots(curve_data, z, ctx):
     return [mp.re(r) for r in (w, u, v)]
 
 
-def chi_eval(curve_data, z, ctx, side=+1):
+def chi_eval(curve_data, z, ctx):
     """Sheet-labeled values of the inverse of R at z.
 
     Returns {0: w, 1: w, 2: w}. Im z < 0 gives the conjugates of the values
@@ -614,9 +585,9 @@ def chi_eval(curve_data, z, ctx, side=+1):
 
     - a collapsed sheet (A_k = 0, at c = 0 or 1) is the root nearest B_k,
       since chi^(k) = B_k there;
-    - chi^(0) is the root with the largest side Im w, where side = +1 for
-      Im z > 0: the one root above the real axis, and on a cut the member of
-      the conjugate pair in the side's half-plane (+1 = limit from above);
+    - chi^(0) is the root with the largest Im w: the one root above the
+      real axis, and on a cut the upper member of the conjugate pair, the
+      limit from above (each label's conjugate is the limit from below);
     - if that is tied, all roots are real (off the cuts, or at a branch
       point), and chi^(0) is the root with the least S, the one real root
       where R' > 0;
@@ -653,12 +624,11 @@ def chi_eval(curve_data, z, ctx, side=+1):
             if A == 0:
                 out[k] = roots.pop(min(range(len(roots)), key=lambda i: abs(roots[i] - B)))
         if not real_z:
-            side = +1
             if any(abs(u - v) <= mp.ldexp(max(1, abs(u), abs(v)), 4 - ctx.mantissa_bits // 2)
                    for i, u in enumerate(roots) for v in roots[:i]):
                 raise ClassificationError("two roots closer than the square-root rounding floor; "
                                           "Im z is too small this near a branch point")
-        roots.sort(key=lambda r: side * mp.im(r), reverse=True)
+        roots.sort(key=mp.im, reverse=True)
         if mp.im(roots[0]) == mp.im(roots[1]):
             roots.sort(key=lambda w: sum(A / abs(w - B) ** 2
                                          for A, B in ((A1, B1), (A2, B2)) if A))
@@ -893,7 +863,7 @@ def energy_oracle(geometry, c, n_particles=400, iterations=2000):
         lam0 = min(lam * 2, 1.0)
         trace.append(e)
 
-    def quantile_edge_fit(cloud, hard_edge, far_end, n_beta=500):
+    def quantile_edge_fit(cloud, hard_edge, far_end):
         """Soft-edge location from the cloud's empirical quantiles."""
         pts = np.sort(np.abs(np.asarray(cloud) - hard_edge))
         n = len(pts)
@@ -906,7 +876,7 @@ def energy_oracle(geometry, c, n_particles=400, iterations=2000):
         base = np.sqrt(np.clip(1 - ts, 0, None) / np.clip(ts, 1e-12, None))
         base[0] = base[1]
         best, best_sse = hi, np.inf
-        for width in np.linspace(lo, hi, n_beta):
+        for width in np.linspace(lo, hi, 500):
             s = pts / width
             for gam in np.linspace(-1.5, 1.5, 31):
                 dens = (1 + gam * ts * width) * base
@@ -942,11 +912,14 @@ def energy_oracle(geometry, c, n_particles=400, iterations=2000):
 # Export
 # ---------------------------------------------------------------------------
 
-def curve_to_json(curve_data, thresholds=None, digits=30):
-    """JSON text of the constants at `digits` significant digits.
+DIGITS = 30  # significant digits of every written constant
+
+
+def curve_to_json(curve_data, thresholds):
+    """JSON text of the constants at DIGITS significant digits.
 
     The solve residual is written to 3 digits, and never below the resolution
-    of the written constants, 10^-digits of the geometry's scale: below it the
+    of the written constants, 10^-DIGITS of the geometry's scale: below it the
     residual is rounding noise that differs between two solves of the same
     curve, so the bytes change only when a constant or the certificate does.
     For the same reason a position (an endpoint, B1, B2 or z_c) within the
@@ -955,10 +928,10 @@ def curve_to_json(curve_data, thresholds=None, digits=30):
     """
     cd = curve_data
     g = cd.geometry
-    resolution = mp.mpf(10) ** -digits * max(1, *(abs(v) for v in g.as_tuple()))
+    resolution = mp.mpf(10) ** -DIGITS * max(1, *(abs(v) for v in g.as_tuple()))
 
-    def s(v, digits=digits):
-        return mp.nstr(v, digits) if v is not None else None
+    def s(v, digits=DIGITS):
+        return mp.nstr(v, digits)
 
     def position(v):
         return s(mp.mpf(0) if abs(v) <= resolution else v)
@@ -967,8 +940,8 @@ def curve_to_json(curve_data, thresholds=None, digits=30):
         "c": s(cd.c),
         "geometry": [s(v) for v in g.as_tuple()],
         "regime": cd.regime,
-        "c_star": s(thresholds.c_star) if thresholds else None,
-        "c_dstar": s(thresholds.c_dstar) if thresholds else None,
+        "c_star": s(thresholds.c_star),
+        "c_dstar": s(thresholds.c_dstar),
         "beta_c1": position(cd.beta_c1),
         "alpha_c2": position(cd.alpha_c2),
         "A1": s(cd.A1),

@@ -665,14 +665,13 @@ class AngelescoSystem:
                 out.append(roots)
             return tuple(out)
 
-    def remainder(self, n, i, z, n_nodes=None):
+    def remainder(self, n, i, z):
         """R_n^(i)(z) = integral of P_n(x)/(z - x) against measure i."""
         n = MultiIndex.of(n)
         sol = self.solution(n)
-        return _cauchy_weighted(sol.p_monic, self.weights[i - 1], self.geometry, z,
-                                self.ctx, n_nodes)
+        return _cauchy_weighted(sol.p_monic, self.weights[i - 1], self.geometry, z, self.ctx)
 
-    def linear_form(self, n, z, n_nodes=None):
+    def linear_form(self, n, z):
         """L_n(z) = integral of the type I form against 1/(z - x)."""
         n = MultiIndex.of(n)
         sol = self.solution(n)
@@ -681,18 +680,17 @@ class AngelescoSystem:
             for i in (1, 2):
                 a = sol.a_poly(i)
                 if a:
-                    total += _cauchy_weighted(a, self.weights[i - 1], self.geometry, z,
-                                              self.ctx, n_nodes)
+                    total += _cauchy_weighted(a, self.weights[i - 1], self.geometry, z, self.ctx)
             return total
 
 
-def _cauchy_weighted(p, weight, geometry, z, ctx, n_nodes=None):
+def _cauchy_weighted(p, weight, geometry, z, ctx):
     with ctx.workprec():
         a, b = geometry.interval(weight.interval)
         z = mp.mpc(z)
         if abs(z.imag) == 0 and a <= z.real <= b:
             raise DomainError("evaluation point lies on the interval of integration")
-        m = n_nodes or (64 + max(p.degree, 0) + 2 * weight.poly_degree())
+        m = 64 + max(p.degree, 0) + 2 * weight.poly_degree()
         nodes, gl_weights = gauss_legendre(m, ctx)
         half, mid = (b - a) / 2, (b + a) / 2
         total = mp.mpc(0)

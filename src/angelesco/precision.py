@@ -243,12 +243,12 @@ def solve_dense(A, b, ctx, pivot_tol=None):
         return x, resid
 
 
-def sym_eig(S, want_vectors=False, sym_tol=1e-12):
+def sym_eig(S, want_vectors=False):
     """Eigenvalues (ascending) of a dense symmetric machine-real matrix.
 
     The dense oracle for the tree spectra, which the package computes by
     inertia counts. Householder + implicit-shift factorization via LAPACK;
-    dimensions capped at EIG_DIM_CAP. Asymmetry beyond sym_tol (relative)
+    dimensions capped at EIG_DIM_CAP. Asymmetry beyond 1e-12 (relative)
     raises ShapeError.
     """
     S = np.asarray(S, dtype=float)
@@ -257,7 +257,7 @@ def sym_eig(S, want_vectors=False, sym_tol=1e-12):
     if S.shape[0] > EIG_DIM_CAP:
         raise ShapeError(f"dimension {S.shape[0]} exceeds cap {EIG_DIM_CAP}")
     scale = max(1.0, float(np.max(np.abs(S)))) if S.size else 1.0
-    if S.size and float(np.max(np.abs(S - S.T))) > sym_tol * scale:
+    if S.size and float(np.max(np.abs(S - S.T))) > 1e-12 * scale:
         raise ShapeError("matrix is not symmetric within tolerance")
     Ssym = 0.5 * (S + S.T)
     if want_vectors:

@@ -4,7 +4,7 @@ import time
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from angelesco.curve import (
@@ -121,6 +121,50 @@ def test_critical_points_match_quartic_roots(bits, log_a1, log_a2, b1, margin):
             assert abs(_Rp(wj, p)) <= mp.mpf(2) ** (8 - bits) * floor
 
 
+@settings(max_examples=100, deadline=None)
+@given(bits=st.sampled_from([128, 192, 512]),
+       log_a1=st.floats(-80, 2), log_a2=st.floats(-80, 2),
+       b1=st.floats(-100, 100), log_gap=st.floats(-30, 2))
+# wm = (B2 + t B1)/(1 + t) rounds to B1, where R'(wm) would divide by zero
+@example(bits=128, log_a1=-35.37, log_a2=1.53, b1=4.83, log_gap=-27.1)
+def test_critical_points_in_bounded_brackets_or_refused(bits, log_a1, log_a2, b1, log_gap):
+    # every parameter set either gives the four ordered zeros, each inside
+    # its closed-form bracket with the signs of R' that the bounds promise
+    # at the ends, or is refused with SolveFailure; no other exception
+    ctx = PrecisionContext(bits)
+    with ctx.workprec():
+        A1, A2 = mp.mpf(10) ** log_a1, mp.mpf(10) ** log_a2
+        B1 = mp.mpf(b1)
+        p = (A1, A2, B1, B1 + mp.mpf(10) ** log_gap)
+        try:
+            w = _critical_points(p, ctx)
+        except SolveFailure:
+            return
+        B2 = p[3]
+        assert w[0] < B1 < w[1] <= w[2] < B2 < w[3]
+        s, r1, r2 = mp.sqrt(A1 + A2), mp.sqrt(A1) / 2, mp.sqrt(A2) / 2
+        t = (A2 / A1) ** (mp.mpf(1) / 3)
+        wm = (B2 + t * B1) / (1 + t)
+        # find_root's last Newton step may cross a bracket end by its tolerance
+        tol = mp.mpf(2) ** (4 - bits) * max(1, abs(B1), abs(B2))
+        brackets = [(B1 - 2 * s, B1 - r1), (B1 + r1, wm), (wm, B2 - r2), (B2 + r2, B2 + 2 * s)]
+        for wj, (lo, hi) in zip(w, brackets):
+            assert lo - tol <= wj <= hi + tol
+        slack = mp.mpf(2) ** (4 - bits // 2)
+        for end in (B1 - 2 * s, B2 + 2 * s):
+            assert _Rp(end, p) >= mp.mpf(3) / 4 - slack
+        for end in (B1 - r1, B1 + r1, B2 - r2, B2 + r2):
+            assert _Rp(end, p) <= -3 + slack
+        assert _Rp(wm, p) > 0
+
+
+def test_curve_refuses_poles_below_the_bracket_floor():
+    # at c = 1e-40 the pushed solve's A1 is of order c^2, so sqrt(A1)/2 is far
+    # below 2^-64 and B1 +- sqrt(A1)/2 rounds to B1 at 128 bits
+    with pytest.raises(SolveFailure, match="too degenerate"):
+        curve(G0, "1e-40", PrecisionContext(128))
+
+
 def test_full_map_solved_once_per_geometry_and_bits(monkeypatch):
     module = sys.modules["angelesco.curve"]
     bits_seen = []
@@ -145,10 +189,10 @@ def test_full_map_solved_once_per_geometry_and_bits(monkeypatch):
 
 def test_newton_types_only_linear_algebra_failures():
     with pytest.raises(SolveFailure):
-        _newton(lambda x: ([x[0] - 1], [[0]]), [0], CTX)
+        _newton(lambda x: ([x[0] - 1], [[0]], ()), [0], CTX)
     # an entry that cannot become an mpf is a programming error, not a failed solve
     with pytest.raises(TypeError):
-        _newton(lambda x: ([x[0] - 1], [[object()]]), [0], CTX)
+        _newton(lambda x: ([x[0] - 1], [[object()]], ()), [0], CTX)
 
 
 def test_thresholds_symmetry_and_range(thresholds):
@@ -663,16 +707,20 @@ def test_sheet_classification_random_sweep():
                 assert _oracle_windows(cd, real.values()) == real
                 for k in (0, 1, 2):
                     assert abs(above[k] - real[k]) < mp.mpf("1e-15")
-            # on a cut, side = +-1 gives the limit from Im z = +-1e-20, label by label
+            # on a cut, real z gives the limit from Im z = 1e-20, label by label
             for a, b in cd.supports():
                 for v in np.random.RandomState(11).uniform(0.01, 0.99, size=6):
                     x = a + mp.mpf(v) * (b - a)
-                    for s in (1, -1):
-                        on = chi_eval(cd, x, ctx, side=s)
-                        off = chi_eval(cd, x + s * mp.mpc(0, "1e-20"), ctx)
-                        for k in (0, 1, 2):
-                            assert abs(on[k] - off[k]) < mp.mpf("1e-15")
-                        assert s * on[0].imag > 0
+                    on = chi_eval(cd, x, ctx)
+                    off = chi_eval(cd, x + mp.mpc(0, "1e-20"), ctx)
+                    for k in (0, 1, 2):
+                        assert abs(on[k] - off[k]) < mp.mpf("1e-15")
+                    assert on[0].imag > 0
+
+
+def _from_side(labels, side):
+    """The labels on a cut as limits from above (side = 1) or below (side = -1)."""
+    return labels if side > 0 else {k: mp.conj(w) for k, w in labels.items()}
 
 
 def test_chi_eval_through_the_polyroots_fallback(monkeypatch):
@@ -685,7 +733,7 @@ def test_chi_eval_through_the_polyroots_fallback(monkeypatch):
     cd = curve(G0, "0.3", ctx, with_dc=False)
     module = sys.modules["angelesco.curve"]
     points = [(mp.mpf("-1.5"), 1), (mp.mpf("1.25"), 2), (mp.mpf(0), 0), (mp.mpf(3), 0)]
-    ref = {(x, s): chi_eval(cd, x, ctx, side=s) for x, _ in points for s in (1, -1)}
+    ref = {(x, s): _from_side(chi_eval(cd, x, ctx), s) for x, _ in points for s in (1, -1)}
     calls = []
     polyroots = mp.polyroots
 
@@ -698,7 +746,7 @@ def test_chi_eval_through_the_polyroots_fallback(monkeypatch):
     monkeypatch.setattr(module.mp, "polyroots", noisy)
     for x, cut in points:
         for s in (1, -1):
-            ch = chi_eval(cd, x, ctx, side=s)
+            ch = _from_side(chi_eval(cd, x, ctx), s)
             with ctx.workprec():
                 _assert_labels_agree(ch, ref[x, s], 128)
                 if cut:
