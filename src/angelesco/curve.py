@@ -20,7 +20,6 @@ import json
 from dataclasses import dataclass
 
 import mpmath as mp
-import numpy as np
 
 from .errors import (
     ClassificationError,
@@ -496,8 +495,15 @@ def _cubic_coefficients(p, z):
 def _double_roots(c2, c1, c0):
     """Roots of w^3 + c2 w^2 + c1 w + c0 in double precision, as Python complex.
 
-    Real coefficients give real roots with imaginary part exactly 0.
+    Real coefficients give real roots with imaginary part exactly 0. numpy
+    loads here, on the first sheet evaluation, not with the package. The
+    polished roots' last bits follow the seeds' last bits (moving the real
+    part of each seed by one ulp moves two thirds of the labels of a sweep
+    of chi_eval), so a seed route other than np.roots would move written
+    noise digits.
     """
+    import numpy as np
+
     coeffs = [1.0, c2, c1, c0]
     if not all(cmath.isfinite(v) for v in coeffs):
         raise DomainError("cubic coefficients are not finite in double precision")
@@ -803,6 +809,8 @@ def energy_oracle(geometry, c, n_particles=400, iterations=2000):
     also from a quantile fit of the whole cloud against the edge-exponent
     density model (1 + gamma (x - hard)) sqrt(|soft - x| / |x - hard|).
     """
+    import numpy as np
+
     g = geometry
     a1, b1 = float(g.alpha1), float(g.beta1)
     a2, b2 = float(g.alpha2), float(g.beta2)

@@ -8,7 +8,6 @@ spectra come from inertia counts in ``tree``, and it is their dense oracle.
 """
 
 import mpmath as mp
-import numpy as np
 
 from .errors import (
     BracketError,
@@ -251,6 +250,8 @@ def sym_eig(S, want_vectors=False):
     dimensions capped at EIG_DIM_CAP. Asymmetry beyond 1e-12 (relative)
     raises ShapeError.
     """
+    import numpy as np
+
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ShapeError("matrix must be square")

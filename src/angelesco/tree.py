@@ -14,11 +14,10 @@ count the eigenvalues below x, and bisection on the count finds them all.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, pi
 from types import SimpleNamespace
 
 import mpmath as mp
-import numpy as np
 
 from .errors import ConvergenceError, DomainError, ShapeError, SourceError
 from .precision import PrecisionContext, find_root
@@ -38,10 +37,10 @@ class TreeIndex:
     """
 
     depth: int
-    parent: np.ndarray
-    proj: np.ndarray
-    iota: np.ndarray
-    level: np.ndarray
+    parent: "np.ndarray"
+    proj: "np.ndarray"
+    iota: "np.ndarray"
+    level: "np.ndarray"
 
     @property
     def n_vertices(self):
@@ -49,6 +48,8 @@ class TreeIndex:
 
 
 def build_tree(depth):
+    import numpy as np
+
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if 2 ** (depth + 1) - 1 > EIG_COUNT_CAP:
@@ -148,6 +149,8 @@ class PerturbedSource:
 
 def _csr(cols, vals):
     """CSR of the square matrix with vals[r, j] at (r, cols[r, j]), j ascending; no zeros."""
+    import numpy as np
+
     keep = vals != 0
     return SimpleNamespace(data=vals[keep], indices=cols[keep], shape=(len(vals),) * 2,
                            indptr=np.concatenate([[0], np.cumsum(keep.sum(axis=1))]))
@@ -166,6 +169,8 @@ class TreeTruncation:
 
     @cached_property
     def matrix(self):
+        import numpy as np
+
         tree = build_tree(self.depth)
         v = np.arange(tree.n_vertices)
         _, vals = _rows(self.table, tree.proj - 1, tree.iota)
@@ -176,6 +181,8 @@ class TreeTruncation:
         return self.classes.n
 
     def dense(self):
+        import numpy as np
+
         m, out = self.matrix, np.zeros(self.matrix.shape)
         out[np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices] = m.data
         return out
@@ -184,6 +191,8 @@ class TreeTruncation:
 def _table(depth, root, a, b):
     """Lattice table of an assembly: the root diagonal, then b(q, i) and sqrt(a(q, i))
     at [q1 - 1, q2 - 1, i - 1] for each projection q above the leaves, zero elsewhere."""
+    import numpy as np
+
     B, A = np.zeros((2, depth + 1, depth + 1, 2))
     for k1, k2 in ((k1, k2) for k1 in range(depth) for k2 in range(depth - k1)):
         for i in (1, 2):
@@ -194,6 +203,8 @@ def _table(depth, root, a, b):
 def _rows(table, p, t):
     """Diagonals and rows (parent, self, type-1 child, type-2 child; 0 where absent) of
     vertices of type t (0 at the root) at projection offsets p = projection - (1, 1)."""
+    import numpy as np
+
     root, b, w = table
     q = p - np.eye(3, 2, -1, dtype=np.int64)[t]  # the parent's projection offsets
     diag = np.where(t > 0, b[q[:, 0], q[:, 1], t - 1], root)
@@ -245,6 +256,8 @@ class _PivotClasses:
     """
 
     def __init__(self, matrix):
+        import numpy as np
+
         n = matrix.shape[0]
         if matrix.shape[1] != n:
             raise ShapeError("matrix must be square")
@@ -280,6 +293,8 @@ class _PivotClasses:
         """Classes from a lattice table: a vertex of type t at projection p reads the
         table at (p - e_t, t) and its children's at p, so its pivot depends on (p, t)
         alone, and the C(|q| - 2, q1 - 1) root paths to q = p - e_t count its vertices."""
+        import numpy as np
+
         depth = len(table[1]) - 1
         nodes = np.array([(q1 + (t == 1), level - 1 - q1 + (t == 2), t)
                           for level in range(depth, 0, -1) for q1 in range(level)
@@ -298,6 +313,8 @@ class _PivotClasses:
         """The per-height class table, and Gershgorin bounds widened so the count is 0
         below and n above. rows and vals list the stored entries in CSR order; each row
         sums by np.add.reduceat (its first entry plus the pairwise sum of the rest)."""
+        import numpy as np
+
         # a class is numbered after its children's, so heights come in one pass
         entries = list(keys)
         height = np.zeros(len(entries), dtype=np.int64)
@@ -334,6 +351,8 @@ class _PivotClasses:
 
     def count_below(self, xs):
         """Number of eigenvalues strictly below each x: the negative pivots."""
+        import numpy as np
+
         xs = np.asarray(xs, dtype=float)
         out = np.empty(len(xs), dtype=np.int64)
         block = max(1, _COUNT_BLOCK // len(self._diag))
@@ -358,6 +377,8 @@ class _PivotClasses:
         brackets that share a midpoint share its count, so a cluster of equal
         eigenvalues costs one count per step.
         """
+        import numpy as np
+
         k = np.arange(self.n)
         lo, hi = np.full(self.n, self.lower), np.full(self.n, self.upper)
         while True:
@@ -381,6 +402,8 @@ def spectrum_probe(truncation, intervals, epsilon):
     and the largest distance from a point of the target's grid of step 0.01
     to the nearest eigenvalue.
     """
+    import numpy as np
+
     if truncation.dim > EIG_COUNT_CAP:
         raise ShapeError(f"dimension {truncation.dim} exceeds cap {EIG_COUNT_CAP}")
     eigs = truncation.classes.eigenvalues()
@@ -464,7 +487,7 @@ def m_closed(curve_data, l, z, ctx):
 def m_spectral_density(curve_data, l, x, ctx):
     """Im m_+(x)/pi on the support interiors (nonnegative)."""
     val = m_closed(curve_data, l, x, ctx)
-    return val.imag / np.pi
+    return val.imag / pi
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +502,8 @@ def appendix_c0(geometry, ctx, depth=40):
     B2 + 2 sqrt(A2)] and copies whose first diagonal entry is B1, each
     carrying a single bound state pinned at the first interval's left end.
     """
+    import numpy as np
+
     from .curve import curve
     from .szego_maps import w_map
 

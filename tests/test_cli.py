@@ -245,6 +245,27 @@ def test_cli_import_loads_only_runtime_dependencies():
     assert loaded - set(sys.stdlib_module_names) == {"angelesco"}
 
 
+def test_short_commands_leave_numpy_unloaded(tmp_path):
+    # numpy is imported by the functions that build arrays (tree truncations and
+    # counts, sym_eig, energy_oracle) and by chi_eval's cubic seeds, which verify
+    # equilibrium and verify mfun reach; constants, nnrr, verify limits and verify
+    # marginal build none, and verify spectrum does
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    runs = [["constants", "--c", "0.05"], ["constants", "--c", "0.5"], ["nnrr", "--nmax", "2"],
+            ["verify", "limits"], ["verify", "marginal"], ["verify", "spectrum", "--depth", "3"]]
+    argvs = [argv + ["--bits", "128", "--out", str(tmp_path / f"out{i}")]
+             for i, argv in enumerate(runs)]
+    code = ("import json, sys; from angelesco.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    print(main(argv), 'numpy' in sys.modules)")
+    env = {k: v for k, v in os.environ.items() if k != "ANGELESCO_CACHE_DIR"}
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True,
+                          text=True, env={**env, "PYTHONPATH": os.path.join(root, "src")},
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:-1] == ["0 False"] * 5 + ["0 True"]
+
+
 def test_verify_limits_small(capsys):
     code, out, _ = run_cli(["verify", "limits", "--geom=-2,-1,1,2",
                             "--nmax", "8", "--bits", "256"], capsys)

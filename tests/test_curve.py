@@ -1,4 +1,7 @@
+import cmath
+import importlib
 import itertools
+import math
 import sys
 import time
 
@@ -31,6 +34,7 @@ from angelesco.curve import (
     _Rpp,
 )
 from angelesco.errors import (
+    AngelescoError,
     ClassificationError,
     DomainError,
     InternalInconsistency,
@@ -755,6 +759,98 @@ def test_chi_eval_through_the_polyroots_fallback(monkeypatch):
                 else:
                     assert all(isinstance(ch[k], mp.mpf) for k in (0, 1, 2))
     assert len(calls) == 8
+
+
+def _closed_form_roots(c2, c1, c0):
+    """Roots of w^3 + c2 w^2 + c1 w + c0 in complex doubles, by a route apart from np.roots.
+
+    In w = s t, s a power of two that brings every coefficient to modulus at
+    most 1 (nothing overflows up to |z| = 1e300), with Q = (a^2 - 3b)/9 and
+    R = (2a^3 - 9ab + 27c)/54 of t^3 + a t^2 + b t + c: the trigonometric
+    form for real coefficients with R^2 < Q^3, Cardano otherwise. Real
+    coefficients give real roots with imaginary part exactly 0.
+    """
+    coeffs = [complex(v) for v in (c2, c1, c0)]
+    size = max(abs(coeffs[0]), abs(coeffs[1]) ** 0.5, abs(coeffs[2]) ** (1 / 3))
+    s = math.ldexp(1.0, math.frexp(size)[1]) if size else 1.0
+    a, b, c = coeffs[0] / s, coeffs[1] / s / s, coeffs[2] / s / s / s
+    Q = (a * a - 3 * b) / 9
+    R = (2 * a * a * a - 9 * a * b + 27 * c) / 54
+    if not any(v.imag for v in (a, b, c)):
+        a, Q, R = a.real, Q.real, R.real
+        if R * R < Q * Q * Q:
+            theta = math.acos(max(-1.0, min(1.0, R / math.sqrt(Q * Q * Q))))
+            return [complex(s * (-2 * math.sqrt(Q) * math.cos((theta + 2 * math.pi * k) / 3)
+                                 - a / 3)) for k in range(3)]
+        A = -math.copysign((abs(R) + math.sqrt(R * R - Q * Q * Q)) ** (1 / 3), R)
+        B = Q / A if A else 0.0
+        re, im = s * (-(A + B) / 2 - a / 3), s * math.sqrt(3) / 2 * (A - B)
+        return [complex(s * (A + B - a / 3)), complex(re, im), complex(re, -im)]
+    root = cmath.sqrt(R * R - Q * Q * Q)
+    if (R.conjugate() * root).real < 0:
+        root = -root
+    A = -(R + root) ** (1 / 3)
+    B = Q / A if A else 0j
+    mid, half = -(A + B) / 2 - a / 3, 0.5j * math.sqrt(3) * (A - B)
+    return [s * (A + B - a / 3), s * (mid + half), s * (mid - half)]
+
+
+def test_closed_form_roots_are_finite_and_real_where_the_cubic_is():
+    # real coefficients: three real roots, or one and an exact conjugate pair;
+    # no overflow at |z| = 1e300
+    for coeffs in [(-6.0, 11.0, -6.0), (0.0, 1.0, 0.0), (-3.0, 3.0, -1.0),
+                   (-1e300, 1e300, -1e300), (1e300, 0.0, 0.0)]:
+        roots = _closed_form_roots(*coeffs)
+        assert all(cmath.isfinite(r) for r in roots)
+        real = [r for r in roots if r.imag == 0]
+        assert len(real) in (1, 3)
+        if len(real) == 1:
+            u, v = (r for r in roots if r.imag)
+            assert u == v.conjugate()
+    assert sorted(r.real for r in _closed_form_roots(-6.0, 11.0, -6.0)) == pytest.approx([1, 2, 3])
+
+
+@pytest.mark.parametrize("c", ["0", "0.03", "1"])
+def test_chi_eval_labels_do_not_depend_on_the_seed_route(monkeypatch, c):
+    # the double-precision seeds only pick the root that is polished, so seeds
+    # from the closed form give np.roots' sheet labels, value types and
+    # exceptions, with roots equal at context precision (up to each root's
+    # conditioning, 1/distance to the nearest other root): on and between
+    # the supports, outside them, at and just above each branch point, for
+    # Im z from 1e-12 to 2, and at |z| from 1e7 to 1e20 through mp.polyroots
+    bits = 128
+    ctx = PrecisionContext(bits)
+    cd = curve(G0, c, ctx, with_dc=False)
+    module = importlib.import_module("angelesco.curve")
+    with ctx.workprec():
+        (a1, b1), (a2, b2) = cd.supports()
+        real = [a + (b - a) * q for a, b in ((a1, b1), (a2, b2)) for q in (0.1, 0.5, 0.9)]
+        real += [(b1 + a2) / 2, a1 - 1, b2 + 1]
+        branch = [a1, b1, a2, b2]
+        zs = real + branch + [mp.mpc(x, y) for x in real + branch
+                              for y in ("1e-12", "1e-6", "1e-3", "0.5", "2")]
+        zs += [mp.mpf(x) for x in ("1e7", "-1e10", "1e20")]
+        zs += [mp.mpc("1e7", 1), mp.mpc("-1e20", "1e15")]
+
+    def labels(z):
+        try:
+            return chi_eval(cd, z, ctx)
+        except AngelescoError as exc:
+            return type(exc)
+
+    production = [labels(z) for z in zs]
+    monkeypatch.setattr(module, "_double_roots", _closed_form_roots)
+    for z, ref in zip(zs, production):
+        ch = labels(z)
+        if not isinstance(ref, dict):
+            assert ch is ref
+            continue
+        with ctx.workprec():
+            for k in (0, 1, 2):
+                assert type(ch[k]) is type(ref[k])
+                near = min(abs(ref[k] - ref[j]) for j in (0, 1, 2) if j != k)
+                tol = mp.mpf(2) ** (16 - bits) * (1 + abs(ref[k])) / min(1, near or 1)
+                assert abs(ch[k] - ref[k]) <= tol, (z, k)
 
 
 def test_pushed_soft_edge_density_vanishes():
