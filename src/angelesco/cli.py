@@ -226,19 +226,22 @@ def _suite_equilibrium(args, ctx, geometry, weights):
     cd = curve(geometry, args.c, ctx, with_dc=False)
     eq = equilibrium(cd, ctx)
     with ctx.workprec():
-        err1 = abs(eq.masses[0] - cd.c)
-        err2 = abs(eq.masses[1] - (1 - cd.c))
+        wants = (cd.c, 1 - cd.c)
+        errs = [abs(m - want) for m, want in zip(eq.masses, wants)]
         # 2V1 + V2 and V1 + 2V2 are constant on the supports of mu_1 and mu_2
         spreads = []
         for (a, b), coeffs in zip(cd.supports(), ((2, 1), (1, 2))):
             vals = [eq.potential(a + (b - a) * q, *coeffs) for q in (0.1, 0.3, 0.5, 0.7, 0.9)]
             spreads.append(max(vals) - min(vals))
-        ok = all(e < mp.mpf("1e-8") for e in (err1, err2, *spreads))
+        ok = all(e < mp.mpf("1e-8") for e in (*errs, *spreads))
+        # below its floor a field is rounding and truncation noise: write the floor
+        mass_floors = [eq.mass_floor * want for want in wants]
+        spread_floors = [mp.ldexp(1 + abs(ell), 16 - ctx.mantissa_bits) for ell in (eq.ell1, eq.ell2)]
         doc = {
             "c": mp.nstr(cd.c, 15),
             "masses": [mp.nstr(v, 20) for v in eq.masses],
-            "mass_errors": [mp.nstr(err1, 5), mp.nstr(err2, 5)],
-            "flatness_spreads": [mp.nstr(v, 5) for v in spreads],
+            "mass_errors": [mp.nstr(max(e, f), 5) for e, f in zip(errs, mass_floors)],
+            "flatness_spreads": [mp.nstr(max(v, f), 5) for v, f in zip(spreads, spread_floors)],
             "ell1": mp.nstr(eq.ell1, 15),
             "ell2": mp.nstr(eq.ell2, 15),
             "threshold": "1e-8",

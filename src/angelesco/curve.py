@@ -77,6 +77,7 @@ class EquilibriumData:
     density1: object
     density2: object
     masses: tuple
+    mass_floor: mp.mpf  # relative quadrature floor of the masses, 2^(EQ_FLOOR_BITS - W)
     ell1: mp.mpf
     ell2: mp.mpf
     potential: object  # potential(z, coeff1, coeff2)
@@ -698,8 +699,13 @@ def upsilon(curve_data, i, z, sheet, ctx):
 # Equilibrium measures
 # ---------------------------------------------------------------------------
 
-EQ_QUAD_NODES = 96  # Gauss nodes per half-support for the masses
 EQ_WORK_BITS = 160  # precision cap for the densities and masses
+EQ_FLOOR_BITS = 20  # mass floor 2^(EQ_FLOOR_BITS - W); 2^(16.6 - W) the worst measured
+
+
+def _mass_nodes(work_bits):
+    """Gauss nodes per half-support for the masses: 8 ceil(W/32) at W working bits."""
+    return 8 * -(-work_bits // 32)
 
 
 def equilibrium(curve_data, ctx):
@@ -707,26 +713,53 @@ def equilibrium(curve_data, ctx):
 
     Densities are Im h^(i) on the upper side of each cut divided by pi. Their
     masses are Gauss sums after x = endpoint +- t^2, which absorbs the
-    inverse-square-root edges, at min(bits, EQ_WORK_BITS); they certify the
-    residues r1 = (B1 - w*)/(B1 - B2) = c and r2 = 1 - r1 of
-    h R' = r1/(w - B1) + r2/(w - B2). Integrating h^(i) = -C_{mu_i} through
-    z = R(w), with V^{mu_i}(x) + r_i log|x| -> 0 at infinity, gives each
-    potential in closed form, single-valued, by one chi_eval at context bits:
+    inverse-square-root edges, at W = min(bits, EQ_WORK_BITS) working bits
+    with 8 ceil(W/32) nodes per half-support (32 at 128 bits, 40 at 129-160).
+    In t the nearest singularity of the integrand is the far edge, so the
+    rule converges at the same rate on every support, to about 2^(-7W/8).
+
+    The density samples run W + 2 log2(scale/width) bits, with width that of
+    the narrowest support that has not collapsed and scale the largest
+    endpoint modulus: that many bits cancel in the on-cut pair's discriminant
+    b^2 - 4cq there, so even the node nearest an edge of a 1e-19-wide pushed
+    support reads its density. A point within 2^(16 - bits) scale of an
+    endpoint is sampled at W bits, where the curve data's own branch point
+    decides: the density is 0 at a soft (pushed) edge and raises DomainError
+    at a hard edge, where it is infinite.
+
+    The masses certify the residues r1 = (B1 - w*)/(B1 - B2) = c and
+    r2 = 1 - r1 of h R' = r1/(w - B1) + r2/(w - B2): within mass_floor =
+    2^(EQ_FLOOR_BITS - W) of themselves. Only where the data's branch points
+    sit a visible fraction of the width off the stored endpoints is it more
+    (1.4e-20 of itself at c = 1e-15 and 128 bits on [-2,-1] u [1,2], where
+    they are 1e-37 off a 1.4e-14-wide support). InternalInconsistency is
+    raised for a mass off (c, 1 - c) by 1e-6 of itself, or for a density
+    below -1e-12. A collapsed support (zero mass) is skipped.
+
+    Integrating h^(i) = -C_{mu_i} through z = R(w), with
+    V^{mu_i}(x) + r_i log|x| -> 0 at infinity, gives each potential in
+    closed form, single-valued, by one chi_eval at context bits:
 
         V^{mu_i}(x) = sum_k r_k log|chi^(i)(x) - B_k| - r_i log A_i - r_j log|B1 - B2|.
-
-    A collapsed support (zero mass) is skipped. Raises InternalInconsistency
-    for a mass off (c, 1 - c) by 1e-6 of itself or a density below -1e-12;
-    the densities raise DomainError at a hard edge, where they are infinite.
     """
-    wctx = PrecisionContext(min(ctx.mantissa_bits, EQ_WORK_BITS))
     cd = curve_data
     supports = cd.supports()
+    wctx = PrecisionContext(min(ctx.mantissa_bits, EQ_WORK_BITS))
+    with ctx.workprec():
+        scale = max(1, abs(supports[0][0]), abs(supports[1][1]))
+        width = min(b - a for a, b in supports if b - a > ctx.solve_tolerance)
+        dctx = PrecisionContext(wctx.mantissa_bits + 2 * max(0, mp.mag(scale / width)))
+        at_edge = mp.ldexp(scale, 16 - ctx.mantissa_bits)
 
     def density(i):
+        edges = supports[i - 1]
+
         def f(x):
-            with wctx.workprec():
-                h = h_branch(cd, mp.mpf(x), i, wctx)
+            with dctx.workprec():
+                x = mp.mpf(x)
+                sctx = wctx if min(abs(x - e) for e in edges) <= at_edge else dctx
+            with sctx.workprec():
+                h = h_branch(cd, x, i, sctx)
                 v = h.imag / mp.pi
                 if v < mp.mpf("-1e-12"):
                     raise InternalInconsistency(f"negative density {mp.nstr(v, 5)} at x={x}")
@@ -734,14 +767,14 @@ def equilibrium(curve_data, ctx):
         return f
 
     d1, d2 = density(1), density(2)
+    nodes, weights = gauss_legendre(_mass_nodes(wctx.mantissa_bits), wctx)
 
     def mass_of(i, f):
         # split at the midpoint and substitute x = edge ± t^2 at each end
         a, b = supports[i - 1]
-        with wctx.workprec():
+        with dctx.workprec():
             if b - a <= ctx.solve_tolerance:
                 return mp.mpf(0)
-            nodes, weights = gauss_legendre(EQ_QUAD_NODES, wctx)
             total = mp.mpf(0)
             for edge, sgn in ((a, 1), (b, -1)):
                 tmax = mp.sqrt((b - a) / 2)
@@ -786,6 +819,7 @@ def equilibrium(curve_data, ctx):
         ell1 = potential(x1, 2, 1)
         ell2 = potential(x2, 1, 2)
     return EquilibriumData(density1=d1, density2=d2, masses=(m1, m2),
+                           mass_floor=mp.ldexp(1, EQ_FLOOR_BITS - wctx.mantissa_bits),
                            ell1=ell1, ell2=ell2, potential=potential)
 
 

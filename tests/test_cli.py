@@ -176,6 +176,27 @@ def test_verify_equilibrium_pushed_certificate(capsys):
     assert all(float(v) < 1e-8 for v in detail["flatness_spreads"] + detail["mass_errors"])
 
 
+@pytest.mark.parametrize("geom, c, bits", [("-2,-1,1,2", "0.3", "512"),
+                                            ("-2.3,-1,1,1.9", "0.4", "128")])
+def test_verify_equilibrium_bytes_do_not_follow_the_node_rule(tmp_path, capsys, monkeypatch,
+                                                              geom, c, bits):
+    # mass errors and flatness spreads under their floors are written as the
+    # floors, so twice the Gauss nodes leave the file's bytes as they are
+    def write(name):
+        path = tmp_path / name
+        code, _, _ = run_cli(["verify", "equilibrium", f"--geom={geom}", "--c", c,
+                              "--bits", bits, "--out", str(path)], capsys)
+        assert code == 0
+        return path.read_bytes()
+
+    first = write("rule.json")
+    rule = curve_mod._mass_nodes
+    monkeypatch.setattr(curve_mod, "_mass_nodes", lambda work_bits: 2 * rule(work_bits))
+    assert write("doubled.json") == first
+    detail = json.loads(first)["detail"]
+    assert all(0 < float(v) < 1e-30 for v in detail["mass_errors"] + detail["flatness_spreads"])
+
+
 def test_verify_spectrum_small_depth(capsys):
     code, out, _ = run_cli(["verify", "spectrum", "--geom=-2,-1,1,2",
                             "--depth", "6", "--bits", "192"], capsys)

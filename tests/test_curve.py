@@ -1020,29 +1020,69 @@ def test_equilibrium_single_interval_exact(bits, geo):
             assert abs(ell_point - (robin - green)) <= tol
 
 
-@pytest.mark.parametrize("bits,c", [(128, "1e-11"), (192, "1e-15"), (128, "0.9999999999")])
+@pytest.mark.parametrize("bits,c", [(128, "1e-11"), (192, "1e-15"), (128, "0.9999999999"),
+                                    (256, "1e-20"), (128, "1e-15")])
 def test_equilibrium_masses_on_narrow_pushed_supports(bits, c):
     # the on-cut pair of a support about 4 c |w2(alpha1)| wide is an exact
-    # conjugate pair, however small its imaginary part, so the density is
-    # positive across the support and the mass is c (or 1 - c) to 1e-6 of itself
+    # conjugate pair, and the density samples carry the 2 log2(scale/width)
+    # bits its discriminant cancels, so the node nearest each edge of a
+    # 1.4e-19-wide support reads its density. Measured: 1.0e-25, 1.4e-41,
+    # 6.4e-27, 6.9e-44 and 1.4e-20 of the mass; without the extra bits 5.6e-15,
+    # 2.5e-16, 9.2e-18, 3.1e-8 and 3.9e-7, the last two under the 1e-6 certificate
     ctx = PrecisionContext(bits)
     cd = curve(G0, c, ctx, with_dc=False)
     eq = equilibrium(cd, ctx)
     with ctx.workprec():
         for got, want in zip(eq.masses, (cd.c, 1 - cd.c)):
-            assert abs(got - want) <= mp.mpf("1e-6") * want
+            assert abs(got - want) <= mp.mpf("1e-19") * want
 
 
-def test_equilibrium_mass_certificate_is_relative():
-    # the densities run at 160 bits; at the Gauss node nearest each edge of
-    # a 1.4e-19-wide support (1.2e-8 of the width in) the pair's imaginary
-    # part is below about 2^-80, where _cubic_roots takes it for a double
-    # root, so the density reads 0 there and the mass is 3.6e-4 of itself
-    # short, an absolute error far under 1e-6
-    ctx = PrecisionContext(256)
-    cd = curve(G0, "1e-20", ctx, with_dc=False)
+def test_equilibrium_mass_certificate_is_relative(monkeypatch):
+    # a density read as 0 at one node leaves mu_1's mass of 1e-11 short by a
+    # part of itself, an absolute error far under 1e-6: the relative
+    # certificate raises
+    curve_mod = importlib.import_module("angelesco.curve")
+    ctx = PrecisionContext(128)
+    cd = curve(G0, "1e-11", ctx, with_dc=False)
+    calls = []
+
+    def lose_one_node(curve_data, z, sheet, ctx):
+        calls.append(sheet)
+        if calls.count(1) == 5:
+            return mp.mpc(0)
+        return h_branch(curve_data, z, sheet, ctx)
+
+    monkeypatch.setattr(curve_mod, "h_branch", lose_one_node)
     with pytest.raises(InternalInconsistency, match="equilibrium mass"):
         equilibrium(cd, ctx)
+    assert calls.count(1) >= 5
+
+
+@settings(max_examples=10, deadline=None)
+@given(bits=st.sampled_from([128, 192, 512]),
+       l1=st.integers(80, 150), l2=st.integers(80, 150),
+       regime=st.sampled_from([PUSHED_LEFT, MIDDLE, PUSHED_RIGHT]),
+       u=st.floats(0.15, 0.85))
+def test_equilibrium_mass_rule_converges(bits, l1, l2, regime, u):
+    # the rule's masses sit within mass_floor = 2^(20 - W) of themselves
+    # (2^(16.6 - W) the worst measured), and twice the nodes move them less
+    curve_mod = importlib.import_module("angelesco.curve")
+    ctx = PrecisionContext(bits)
+    with ctx.workprec():
+        g = Geometry(-1 - mp.mpf(l1) / 100, -1, 1, 1 + mp.mpf(l2) / 100)
+    th = critical_thresholds(g, ctx)
+    with ctx.workprec():
+        cd = curve(g, _REGIME_FRACTION[regime](th, mp.mpf(u)), ctx, with_dc=False)
+    eq = equilibrium(cd, ctx)
+    rule = curve_mod._mass_nodes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(curve_mod, "_mass_nodes", lambda work_bits: 2 * rule(work_bits))
+        doubled = equilibrium(cd, ctx)
+    assert eq.mass_floor == mp.ldexp(1, 20 - min(bits, 160))
+    with ctx.workprec():
+        for got, again, want in zip(eq.masses, doubled.masses, (cd.c, 1 - cd.c)):
+            assert abs(got - want) <= eq.mass_floor * want
+            assert abs(got - again) <= eq.mass_floor * want
 
 
 @settings(max_examples=12, deadline=None)
