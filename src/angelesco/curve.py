@@ -112,7 +112,10 @@ def _critical_points(p, ctx):
     and [B2 + sqrt(A2)/2, B2 + 2s] holds one simple zero. SolveFailure when
     the middle pair is not real (wm within sqrt(A_k)/2 of B_k, or R'(wm) <= 0),
     and when min sqrt(A_k)/2 <= solve tolerance * max(1, |B1|, |B2|): there
-    B_k +- sqrt(A_k)/2 does not resolve the pole.
+    B_k +- sqrt(A_k)/2 does not resolve the pole. Newton starts from the
+    double-precision zero of ``_double_seeds`` where there is one, so that
+    ``find_root`` at context precision only polishes it: the zeros, their
+    brackets and their tolerance are those of a search from the midpoint.
     """
     A1, A2, B1, B2 = p
     if not (A1 > 0 and A2 > 0 and B1 < B2):
@@ -129,11 +132,71 @@ def _critical_points(p, ctx):
     far = 2 * mp.sqrt(A1 + A2)
     # full-precision refinement: the mass condition is first order in the w_j
     tol = mp.mpf(2) ** (4 - ctx.mantissa_bits) * scale
+    brackets = ((0, B1 - far, B1 - r1), (0, B1 + r1, wm), (1, wm, B2 - r2), (1, B2 + r2, B2 + far))
+    return tuple(
+        find_root(lambda w: _Rp(w, p), lambda w: _Rpp(w, p), lo, hi, ctx, tol, start=seed)
+        for (_, lo, hi), seed in zip(brackets, _double_seeds(p, brackets)))
 
-    def zero(lo, hi):
-        return find_root(lambda w: _Rp(w, p), lambda w: _Rpp(w, p), lo, hi, ctx, tol)
 
-    return (zero(B1 - far, B1 - r1), zero(B1 + r1, wm), zero(wm, B2 - r2), zero(B2 + r2, B2 + far))
+def _double_seeds(p, brackets):
+    """Double-precision zeros of R' in the brackets (k, lo, hi) of B_k, as mpf, or None each.
+
+    Each is found in u = w - B_k, from the bracket's own pole (k = 0 for B1,
+    1 for B2): absolute doubles cannot resolve w - B_k once |B_k| >> sqrt(A_k).
+    All are None when A1, A2 or (B2 - B1)^2 lies outside (1e-200, 1e200),
+    where the cubes in R'' would under- or overflow; ``find_root`` then
+    starts at the midpoint, as it also does for a seed outside its bracket.
+    """
+    A1, A2, B1, B2 = p
+    a1, a2, gap = float(A1), float(A2), float(B2 - B1)
+    if not all(1e-200 < v < 1e200 for v in (a1, a2, gap * gap)):
+        return [None] * len(brackets)
+    seeds = []
+    for k, lo, hi in brackets:
+        pole = p[2 + k]
+        # the bracket's own pole at u = 0, the other one at u = other
+        a, b, other = (a2, a1, -gap) if k else (a1, a2, gap)
+        u = _double_zero(a, b, other, float(lo - pole), float(hi - pole))
+        seeds.append(None if u is None else pole + mp.mpf(u))
+    return seeds
+
+
+def _double_zero(a, b, other, lo, hi):
+    """The zero of 1 - a/u^2 - b/(u - other)^2 in the sign-change bracket [lo, hi], or None.
+
+    Bracketed Newton in doubles, as ``find_root``; None when a division by
+    zero, an overflow or a non-finite result shows that doubles cannot
+    resolve the bracket.
+    """
+    def f(u):
+        v = u - other
+        return 1 - a / (u * u) - b / (v * v)
+
+    def fp(u):
+        v = u - other
+        return 2 * a / (u * u * u) + 2 * b / (v * v * v)
+
+    try:
+        lo_positive = f(lo) > 0
+        u = (lo + hi) / 2
+        for _ in range(200):
+            fu = f(u)
+            if fu == 0:
+                break
+            if (fu > 0) == lo_positive:
+                lo = u
+            else:
+                hi = u
+            du = fu / fp(u)
+            if abs(du) <= 2 ** -52 * abs(u):
+                u -= du
+                break
+            u = u - du if lo < u - du < hi else (lo + hi) / 2
+            if hi - lo <= 2 ** -52 * abs(u):
+                break
+    except (ZeroDivisionError, OverflowError):
+        return None
+    return u if cmath.isfinite(u) else None
 
 
 def _mass_of_wstar(p, w_crit, w_star):
@@ -425,13 +488,20 @@ def dc_oracle(geometry, c, ctx):
     s is the one root of P in (d, beta1), where P(d) = -sigma q(d) < 0.
     RegimeError unless a1 < d < beta1 and P(beta1) > 0, which is what c at
     or beyond the lower threshold gives. Returns (d, s).
+
+    All of this runs in the coordinate z - beta1, with d and s translated
+    back at the end: about 0, e1, e2, e3 and Delta cancel once the endpoints
+    lie far from the origin relative to their spread (narrow, close
+    supports, or a translated geometry), while about beta1 the endpoints
+    are of the size of that spread.
     """
     g = geometry
     with ctx.workprec():
         c = mp.mpf(c)
         if not (0 < c < 1):
             raise RegimeError("c must lie in (0, 1)")
-        a1, a2, b2 = g.alpha1, g.alpha2, g.beta2
+        origin = g.beta1
+        a1, a2, b2 = g.alpha1 - origin, g.alpha2 - origin, g.beta2 - origin
         e1 = a1 + a2 + b2
         e2 = a1 * a2 + a1 * b2 + a2 * b2
         e3 = a1 * a2 * b2
@@ -475,12 +545,12 @@ def dc_oracle(geometry, c, ctx):
         def Pp(z):
             return 3 * (L + sig) * (z - d) ** 2 - sig * qp(z)
 
-        if not (a1 < d < g.beta1 and P(g.beta1) > 0):
+        if not (a1 < d < 0 and P(0) > 0):
             raise RegimeError(
                 f"no admissible node structure a1 < d < beta < beta1 at c={mp.nstr(c, 8)}; "
                 "c is at or beyond the lower threshold")
-        tol = mp.ldexp(max(1, abs(a1), abs(g.beta1)), 4 - ctx.mantissa_bits)
-        return d, find_root(P, Pp, d, g.beta1, ctx, tol)
+        tol = mp.ldexp(max(1, abs(a1)), 4 - ctx.mantissa_bits)
+        return origin + d, origin + find_root(P, Pp, d, 0, ctx, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,21 @@ def test_constants_pushed_at_and_above_one_half(tmp_path, capsys, c, beta):
     assert doc["regime"] == "pushed_left" and doc["beta_c1"] == beta
 
 
+def test_constants_on_a_translated_geometry(tmp_path, capsys):
+    # [-1.5, -0.5] U [0.5, 1.5] moved by 10^6: the pushed endpoint and its
+    # discriminant-cubic cross-check agree, and beta - 10^6 is the untranslated
+    # endpoint -1.05691635056422046952996017098 to 24 digits
+    out = tmp_path / "c.json"
+    code, _, _ = run_cli(["constants", "--geom=999998.5,999999.5,1000000.5,1000001.5",
+                          "--c", "0.05", "--bits", "128", "--out", str(out)], capsys)
+    assert code == 0
+    doc = json.loads(out.read_text())
+    with mp.workprec(128):
+        beta = mp.mpf(doc["beta_c1"]) - 10 ** 6
+        assert abs(beta - mp.mpf("-1.05691635056422046952996017098")) < mp.mpf("1e-23")
+    assert doc["regime"] == "pushed_left"
+
+
 def test_constants_malformed_geometry(capsys):
     code, _, err = run_cli(["constants", "--geom=-2,1,-1,2", "--c", "0.5",
                             "--bits", "256"], capsys)

@@ -162,6 +162,45 @@ def test_critical_points_in_bounded_brackets_or_refused(bits, log_a1, log_a2, b1
         assert _Rp(wm, p) > 0
 
 
+@pytest.mark.parametrize("bits, log_a1, log_a2, b1", [
+    (2048, -400, 0, 1),  # A1 underflows to 0.0 as a double
+    (128, 400, 400, 1),  # A1 and A2 overflow to inf
+    (2048, 0, -310, 1),  # A2 a subnormal double
+    (192, 0, 0, 10 ** 12),  # |B_k| >> sqrt(A_k): absolute doubles cannot resolve w - B_k
+])
+def test_critical_points_where_doubles_cannot_seed(bits, log_a1, log_a2, b1):
+    # the double seeds are optional: where they over- or underflow, the
+    # search starts at the bracket midpoints and finds the same zeros
+    ctx = PrecisionContext(bits)
+    with ctx.workprec():
+        A1, A2 = mp.mpf(10) ** log_a1, mp.mpf(10) ** log_a2
+        gap = 2 * (mp.cbrt(A1) + mp.cbrt(A2)) ** mp.mpf(1.5)
+        p = (A1, A2, mp.mpf(b1), mp.mpf(b1) + gap)
+        w = _critical_points(p, ctx)
+        assert w[0] < p[2] < w[1] <= w[2] < p[3] < w[3]
+        scale = max(1, abs(p[2]), abs(p[3]))
+        # the reference quartic is solved at unit scale: w scales as sqrt(A1 + A2)
+        s = mp.sqrt(A1 + A2)
+        for wj, ref in zip(w, _quartic_roots((A1 / s ** 2, A2 / s ** 2, p[2] / s, p[3] / s), bits)):
+            assert abs(wj - s * ref) <= mp.mpf(2) ** (8 - bits) * scale
+
+
+def test_curve_critical_points_from_double_seeds_bound_the_work(monkeypatch):
+    # evaluations of R' in one cold curve() at 192 bits: 357 at c = 0.04 and
+    # 126 at c = 0.5 from the double seeds, against 826 and 270 from the
+    # bracket midpoints
+    module = sys.modules["angelesco.curve"]
+    points = []
+    real_Rp = module._Rp
+    monkeypatch.setattr(module, "_Rp", lambda w, p: points.append(w) or real_Rp(w, p))
+    ctx = PrecisionContext(192)
+    for c, bound in (("0.04", 450), ("0.5", 160)):
+        monkeypatch.setattr(module, "_FULL_MAP_CACHE", {})
+        points.clear()
+        curve(G0, c, ctx)
+        assert len(points) <= bound
+
+
 def test_curve_refuses_poles_below_the_bracket_floor():
     # at c = 1e-40 the pushed solve's A1 is of order c^2, so sqrt(A1)/2 is far
     # below 2^-64 and B1 +- sqrt(A1)/2 rounds to B1 at 128 bits
@@ -304,7 +343,7 @@ def _node_certificate(g, c, ctx):
         coeffs = [K3 - sig, -3 * K3 * d + sig * (a1 + a2 + b2),
                   3 * K3 * d * d - sig * (a1 * a2 + a1 * b2 + a2 * b2),
                   -K3 * d ** 3 + sig * a1 * a2 * b2]
-        roots = mp.polyroots(coeffs, maxsteps=200, extraprec=2 * ctx.mantissa_bits)
+        roots = mp.polyroots(coeffs, maxsteps=400, extraprec=2 * ctx.mantissa_bits)
         i, j = min(((i, j) for i in range(3) for j in range(i)),
                    key=lambda ij: abs(roots[ij[0]] - roots[ij[1]]))
         third = roots[3 - i - j]
@@ -965,6 +1004,9 @@ def _dc_gap(endpoints, c_of, bits):
                          lambda t: (f"{-1 - 10 ** t[0]:.4f}", "-1", f"{-1 + 10 ** t[2]:.4f}",
                                     f"{-1 + 10 ** t[2] + 10 ** t[1]:.4f}"))),
        frac=st.sampled_from(["1e-6", "1e-3", "0.1", "0.3", "0.6", "0.9", "0.99"]))
+# narrow, close supports far from 0 relative to their spread
+@example(bits=128, geo=("-1.0100", "-1", "-0.9684", "-0.9584"), frac="0.1")
+@example(bits=512, geo=("-1.0100", "-1", "-0.9684", "-0.9584"), frac="0.1")
 def test_dc_oracle_matches_pushed_solve(bits, geo, frac):
     # c = frac c* on both sides of 1/2 (c* > 1/2 on the last named geometry)
     assert _dc_gap(geo, lambda c_star: c_star * mp.mpf(frac), bits) <= 1

@@ -232,6 +232,47 @@ def test_find_root_exact_zero_at_an_end():
     assert find_root(lambda x: x - 2, no_slope, 1, 2, CTX) == 2
 
 
+def _traced_root(f, fp, lo, hi, ctx, **kwargs):
+    """find_root's result and the points at which it evaluated f."""
+    points = []
+    r = find_root(lambda x: points.append(x) or f(x), fp, lo, hi, ctx, **kwargs)
+    return r, points
+
+
+def test_find_root_start_off_the_open_bracket_is_the_midpoint_search():
+    # a start at an end, outside the bracket or None is today's search from
+    # the midpoint: the same points, so the same evaluation count and zero
+    f, fp = (lambda x: x ** 3 - x - 1), (lambda x: 3 * x * x - 1)
+    base = _traced_root(f, fp, 1, 2, CTX)
+    for start in (None, 1, 2, mp.mpf(0), 3, -1.5, float("nan"), float("inf")):
+        assert _traced_root(f, fp, 1, 2, CTX, start=start) == base
+
+
+def test_find_root_start_inside_saves_steps_not_accuracy():
+    f, fp = (lambda x: x * x - 2), (lambda x: 2 * x)
+    r0, base = _traced_root(f, fp, 1, 100, CTX)
+    r, seeded = _traced_root(f, fp, 1, 100, CTX, start=1.4142135623730951)
+    with CTX.workprec():
+        assert abs(r - mp.sqrt(2)) <= CTX.solve_tolerance * 100
+        assert abs(r0 - mp.sqrt(2)) <= CTX.solve_tolerance * 100
+    assert len(seeded) < len(base) // 2
+    # a poor start inside the bracket costs steps and nothing else
+    r, _ = _traced_root(f, fp, 1, 100, CTX, start=99.9)
+    with CTX.workprec():
+        assert abs(r - mp.sqrt(2)) <= CTX.solve_tolerance * 100
+
+
+@pytest.mark.parametrize("start", [None, 1, 2, 1.5, 0.5, 7])
+def test_find_root_ends_and_refusals_do_not_depend_on_start(start):
+    def no_slope(x):
+        raise AssertionError("an exact zero at an end needs no Newton step")
+
+    assert find_root(lambda x: x - 1, no_slope, 1, 2, CTX, start=start) == 1
+    assert find_root(lambda x: x - 2, no_slope, 1, 2, CTX, start=start) == 2
+    with pytest.raises(BracketError):
+        find_root(lambda x: x * x + 1, lambda x: 2 * x, 1, 2, CTX, start=start)
+
+
 def test_find_root_bisects_where_the_slope_vanishes():
     # f' = 3x^2 is 0 at the bracket's midpoint, the first Newton point
     slopes = []
