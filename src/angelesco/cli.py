@@ -158,10 +158,12 @@ def _suite_limits(args, ctx, geometry, weights):
     system = AngelescoSystem(geometry, weights, ctx)
     cd = curve(geometry, "0.5", ctx, with_dc=False)
     ks = sorted({max(2, args.nmax // 3), max(3, args.nmax // 2), args.nmax})
+    # the largest index first: one sweep serves every smaller one
+    rows = {k: system.nnrr((k, k)) for k in reversed(ks)}
     streams = {k: [] for k in ("a1", "a2", "b1", "b2")}
     with ctx.workprec():
         for k in ks:
-            a1, a2, b1, b2 = system.nnrr((k, k))
+            a1, a2, b1, b2 = rows[k]
             streams["a1"].append(abs(a1 - cd.A1))
             streams["a2"].append(abs(a2 - cd.A2))
             streams["b1"].append(abs(b1 - cd.B1))
@@ -175,9 +177,10 @@ def _suite_limits(args, ctx, geometry, weights):
 
 
 def _suite_marginal(args, ctx, geometry, weights):
+    if args.nmax < 4:
+        raise ValueError("nmax must be >= 4 for the marginal suite")
     system = AngelescoSystem(geometry, weights, ctx)
-    kmax = args.nmax if args.nmax >= 4 else 16
-    ks = [max(2, kmax // 4), kmax]
+    ks = [max(2, args.nmax // 4), args.nmax]
     rows = ratio_report(system, [(1, k) for k in ks], 4)
     errs = [r["abs_err"] for r in rows]
     ok = errs[-1] < errs[0]
@@ -301,7 +304,7 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    ctx = PrecisionContext(args.bits) if hasattr(args, "bits") else PrecisionContext()
+    ctx = PrecisionContext(args.bits)
     try:
         if args.command == "constants":
             return cmd_constants(args, ctx)

@@ -130,7 +130,7 @@ def _critical_points(p, ctx):
     if not (B1 + r1 < wm < B2 - r2 and _Rp(wm, p) > 0):
         raise SolveFailure("middle critical points are not real")
     far = 2 * mp.sqrt(A1 + A2)
-    # full-precision refinement: the mass condition is first order in the w_j
+    # full-precision refinement: c* and c** are first order in w2 and w3
     tol = mp.mpf(2) ** (4 - ctx.mantissa_bits) * scale
     brackets = ((0, B1 - far, B1 - r1), (0, B1 + r1, wm), (1, wm, B2 - r2), (1, B2 + r2, B2 + far))
     return tuple(
@@ -199,15 +199,14 @@ def _double_zero(a, b, other, lo, hi):
     return u if cmath.isfinite(u) else None
 
 
-def _mass_of_wstar(p, w_crit, w_star):
-    """The c-value whose h-divisor zero sits over w_star (linear in w_star)."""
-    A1, A2, B1, B2 = p
-    return -A1 * (B1 - B2) * (B1 - w_star) / mp.fprod(B1 - wj for wj in w_crit)
+def _mass_of_wstar(p, w_star):
+    """The c whose h-divisor zero sits over w_star: the residue r1 of h R' at B1.
 
-
-def _wstar_of_mass(p, w_crit, c):
-    A1, A2, B1, B2 = p
-    return B1 + c * mp.fprod(B1 - wj for wj in w_crit) / (A1 * (B1 - B2))
+    No critical point enters: (w - B1)^2 (w - B2)^2 R'(w) = prod_j (w - w_j)
+    makes prod_j (B1 - w_j) = -A1 (B1 - B2)^2.
+    """
+    B1, B2 = p[2:]
+    return (B1 - w_star) / (B1 - B2)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +316,8 @@ def critical_thresholds(geometry, ctx):
     """Regime thresholds c* < c** from the full-interval surface."""
     with ctx.workprec():
         params, w_crit, _ = _full_map(geometry, ctx)
-        c_star = _mass_of_wstar(params, w_crit, w_crit[1])
-        c_dstar = _mass_of_wstar(params, w_crit, w_crit[2])
+        c_star = _mass_of_wstar(params, w_crit[1])
+        c_dstar = _mass_of_wstar(params, w_crit[2])
         if not (0 < c_star < c_dstar < 1):
             raise SolveFailure("threshold ordering violated")
         return Thresholds(c_star, c_dstar)
@@ -348,48 +347,37 @@ SMALL_C_SEED_FRACTION = 0.25
 
 
 def _pushed_left_solve(geometry, c, c_star, ctx):
-    """Joint 5-unknown Newton on (A1, A2, B1, B2, beta) in the pushed regime.
+    """Newton on (A1, A2, B1, B2) in the pushed regime; returns (params, residual, w_crit).
 
-    The four critical values target (alpha1, beta, alpha2, beta2) with beta an
-    unknown, and the mass condition pins the h-zero at the critical point
-    over beta. For c < c*/4 the seed follows the small-c laws
-    A1 ~ (c |w2(alpha1)|)^2 and beta ~ alpha1 + 4 c |w2(alpha1)|; otherwise it
-    is the full-geometry map with beta = beta1.
+    Three critical values target (alpha1, alpha2, beta2). The mass condition
+    puts the h-zero w* = B1 + c (B2 - B1) on the critical point w2, where
+    R'(w2) = 0 reads A1/c^2 + A2/(1 - c)^2 = (B2 - B1)^2; its row is that
+    equation divided by (B2 - B1)^2. The pushed endpoint is beta = R(w2).
+    For c < c*/4 the seed follows the small-c law A1 ~ (c |w2(alpha1)|)^2;
+    otherwise it is the full-geometry map.
     """
     g = geometry
     if c < SMALL_C_SEED_FRACTION * c_star:
         W = abs(w_map(g.alpha1, g.alpha2, g.beta2))
         c0 = _closed_form_degenerate(g, ctx)
-        x0 = [(c * W) ** 2, c0.A2, c0.B1, c0.B2, g.alpha1 + 4 * c * W]
+        x0 = [(c * W) ** 2, c0.A2, c0.B1, c0.B2]
     else:
-        x0 = list(_full_map(g, ctx)[0]) + [g.beta1]
+        x0 = _full_map(g, ctx)[0]
 
     def F(x):
-        params = tuple(x[:4])
-        A1, A2, B1, B2 = params
-        rows, Jrows, w_crit = _chi_residual_rows(params, (g.alpha1, x[4], g.alpha2, g.beta2), ctx)
-        J = [row + [mp.mpf(0)] for row in Jrows]
-        J[1][4] = mp.mpf(-1)
-        # mass row: m = -A1 (B1 - B2) / prod_{j != 2} (B1 - w_j), and each
-        # critical point moves by dw_j/dp = -(dR'/dp)(w_j) / R''(w_j)
-        mass = _mass_of_wstar(params, w_crit, w_crit[1])
-        dlog = [1 / A1, mp.mpf(0), 1 / (B1 - B2), -1 / (B1 - B2)]
-        for wj in (w_crit[0], w_crit[2], w_crit[3]):
-            u1, u2 = 1 / (wj - B1), 1 / (wj - B2)
-            dRp = (-u1 ** 2, -u2 ** 2, -2 * A1 * u1 ** 3, -2 * A2 * u2 ** 3)
-            Rpp = _Rpp(wj, params)
-            for k in range(4):
-                dlog[k] -= ((k == 2) + dRp[k] / Rpp) / (B1 - wj)
-        J.append([mass * v for v in dlog] + [mp.mpf(0)])
-        return rows + [mass - c], J, w_crit
+        A1, A2, B1, B2 = x
+        # rows 0, 2, 3 hit alpha1, alpha2, beta2; row 1 becomes the mass row
+        rows, J, w_crit = _chi_residual_rows(x, g.as_tuple(), ctx)
+        D = B2 - B1
+        S = A1 / c ** 2 + A2 / (1 - c) ** 2
+        rows[1] = S / D ** 2 - 1
+        J[1] = [1 / (c * D) ** 2, 1 / ((1 - c) * D) ** 2, 2 * S / D ** 3, -2 * S / D ** 3]
+        return rows, J, w_crit
 
-    def validator(x):
-        return x[0] > 0 and x[1] > 0 and x[2] < x[3] and g.alpha1 < x[4] < g.alpha2
-
-    x, resid, w_crit = _newton(F, x0, ctx, validator=validator)
+    x, resid, w_crit = _newton(F, x0, ctx, validator=lambda y: y[0] > 0 and y[1] > 0 and y[2] < y[3])
     if resid > ctx.solve_tolerance * _scale_of(x):
         raise SolveFailure(f"pushed-regime residual {mp.nstr(resid, 5)}")
-    return x, resid, w_crit
+    return tuple(x), resid, w_crit
 
 
 def _mirror_curve(curve_data, geometry):
@@ -419,7 +407,7 @@ def curve(geometry, c, ctx, with_dc=True):
         th = critical_thresholds(g, ctx)
         if th.c_star <= c <= th.c_dstar:
             params, w_crit, resid = _full_map(g, ctx)
-            w_star = _wstar_of_mass(params, w_crit, c)
+            w_star = params[2] + c * (params[3] - params[2])
             tol = mp.sqrt(ctx.solve_tolerance) * max(1, abs(w_crit[3]))
             if not (w_crit[1] - tol <= w_star <= w_crit[2] + tol):
                 raise InternalInconsistency("mass point escaped the middle window")
@@ -434,8 +422,9 @@ def curve(geometry, c, ctx, with_dc=True):
                              w_crit=w_crit, w_star=w_star, z_c=z_c,
                              solve_residual=resid, geometry=g)
         if c < th.c_star:
-            x, resid, w_crit = _pushed_left_solve(g, c, th.c_star, ctx)
-            params, beta = tuple(x[:4]), x[4]
+            params, resid, w_crit = _pushed_left_solve(g, c, th.c_star, ctx)
+            # R'(w2) = 0: beta is second order in the error of w2
+            beta = _R(w_crit[1], params)
             if not (beta <= g.beta1 * (1 + ctx.solve_tolerance) + ctx.solve_tolerance):
                 raise InternalInconsistency("pushed endpoint exceeded the interval")
             if with_dc:
@@ -801,8 +790,8 @@ def equilibrium(curve_data, ctx):
     r2 = 1 - r1 of h R' = r1/(w - B1) + r2/(w - B2): within mass_floor =
     2^(EQ_FLOOR_BITS - W) of themselves. Only where the data's branch points
     sit a visible fraction of the width off the stored endpoints is it more
-    (1.4e-20 of itself at c = 1e-15 and 128 bits on [-2,-1] u [1,2], where
-    they are 1e-37 off a 1.4e-14-wide support). InternalInconsistency is
+    (6.9e-22 of itself at c = 1e-15 and 128 bits on [-2,-1] u [1,2], where
+    R(w1) is 5.9e-39 off a 1.4e-14-wide support). InternalInconsistency is
     raised for a mass off (c, 1 - c) by 1e-6 of itself, or for a density
     below -1e-12. A collapsed support (zero mass) is skipped.
 
@@ -864,7 +853,7 @@ def equilibrium(curve_data, ctx):
 
     with ctx.workprec():
         B = (cd.B1, cd.B2)
-        r1 = (cd.B1 - cd.w_star) / (cd.B1 - cd.B2)
+        r1 = _mass_of_wstar(cd.params(), cd.w_star)
         r = (r1, 1 - r1)
         log_gap = mp.log(abs(cd.B1 - cd.B2))
         # the constant of V^{mu_i} on each sheet whose support has not collapsed

@@ -310,6 +310,26 @@ def test_verify_limits_small(capsys):
     assert doc["detail"]["all_streams_decreasing"] is True
 
 
+def test_verify_limits_reads_every_index_from_one_sweep(capsys, monkeypatch):
+    # (12, 12) first: its sweep to level 24 serves (4, 4) and (6, 6), so each
+    # measure's Jacobi coefficients are built once (six times in ascending order)
+    mops = importlib.import_module("angelesco.mops")
+    levels = []
+    real = mops.jacobi_marginal
+    monkeypatch.setattr(mops, "jacobi_marginal",
+                        lambda *args: levels.append(args[2]) or real(*args))
+    code, out, _ = run_cli(["verify", "limits", "--nmax", "12", "--bits", "128"], capsys)
+    assert code == 0
+    assert json.loads(out)["detail"]["ks"] == [4, 6, 12]
+    assert levels == [24, 24]
+
+
+def test_verify_marginal_refuses_nmax_below_4(capsys):
+    code, _, err = run_cli(["verify", "marginal", "--nmax", "3", "--bits", "128"], capsys)
+    assert code == 2
+    assert "nmax must be >= 4" in err
+
+
 def test_nnrr_writes_exact_marginal_b_at_192_bits(tmp_path, capsys):
     # the exact value; dense moment solves give -2.95000000000000000000522873882
     out = tmp_path / "t.csv"

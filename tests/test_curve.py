@@ -162,6 +162,23 @@ def test_critical_points_in_bounded_brackets_or_refused(bits, log_a1, log_a2, b1
         assert _Rp(wm, p) > 0
 
 
+@settings(max_examples=40, deadline=None)
+@given(bits=st.sampled_from([128, 192, 512]),
+       log_a1=st.floats(-10, 1), log_a2=st.floats(-10, 1),
+       b1=st.floats(-3, 3), margin=st.floats(0.05, 3))
+def test_critical_points_product_at_B1_is_the_residue_form(bits, log_a1, log_a2, b1, margin):
+    # (w - B1)^2 (w - B2)^2 R'(w) = prod_j (w - w_j) at w = B1: the product
+    # over the critical points is -A1 (B1 - B2)^2, so the mass of w* is the
+    # residue (B1 - w*)/(B1 - B2)
+    ctx = PrecisionContext(bits)
+    with ctx.workprec():
+        A1, A2 = mp.mpf(10) ** log_a1, mp.mpf(10) ** log_a2
+        gap = (mp.cbrt(A1) + mp.cbrt(A2)) ** mp.mpf(1.5) * (1 + mp.mpf(margin))
+        B1, B2 = mp.mpf(b1), mp.mpf(b1) + gap
+        product = mp.fprod(B1 - wj for wj in _critical_points((A1, A2, B1, B2), ctx))
+        assert abs(product / (-A1 * (B1 - B2) ** 2) - 1) <= ctx.solve_tolerance
+
+
 @pytest.mark.parametrize("bits, log_a1, log_a2, b1", [
     (2048, -400, 0, 1),  # A1 underflows to 0.0 as a double
     (128, 400, 400, 1),  # A1 and A2 overflow to inf
@@ -922,7 +939,7 @@ def test_asymmetric_geometry_regimes():
 
 
 # ---------------------------------------------------------------------------
-# Pushed-regime solve: one Newton with the analytic mass row
+# Pushed-regime solve: one Newton with the mass condition in closed form
 # ---------------------------------------------------------------------------
 
 def _pushed_gap(g, frac, bits, ref_bits):
@@ -941,9 +958,32 @@ def _pushed_gap(g, frac, bits, ref_bits):
 @pytest.mark.parametrize("geo", [("-1.1", "-1", "1", "5"), ("-3", "-2.9", "-2.8", "4"),
                                  ("-1.01", "-1", "1", "100")])
 def test_pushed_solve_at_tiny_c_matches_512_bits(geo):
-    # A1 is of order c^2 here: only an exact mass row takes Newton to the
-    # rounding floor at 128 bits
+    # A1 is of order c^2 here: the mass row A1/c^2 + A2/(1 - c)^2 = (B2 - B1)^2,
+    # exact and relative in A1, takes Newton to the rounding floor at 128 bits
     assert _pushed_gap(Geometry(*geo), "1e-6", 128, 512) <= 1
+
+
+@pytest.mark.parametrize("geo", [("-1.1", "-1", "1", "5"), ("-3", "-2.9", "-2.8", "4"),
+                                 ("-1.01", "-1", "1", "100")])
+@pytest.mark.parametrize("frac", ["1e-6", "1e-12", "1e-17"])
+def test_pushed_A1_to_its_relative_rounding_floor(geo, frac):
+    # the mass row is relative in A1 (of order c^2), so the written A1 keeps
+    # its relative digits at tiny c; a row c(w2) - c, absolute in c, leaves
+    # A1 5.95e-21 off at 1e-17 c* and 128 bits on [-3, -2.9] u [-2.8, 4]
+    g, ref = Geometry(*geo), PrecisionContext(512)
+    for bits in (128, 192):
+        ctx = PrecisionContext(bits)
+        with ctx.workprec():
+            c = critical_thresholds(g, ctx).c_star * mp.mpf(frac)
+        try:
+            A1 = curve(g, c, ctx, with_dc=False).A1
+        except SolveFailure as exc:
+            # sqrt(A1)/2 below the bracket floor 2^(-bits/2) max(1, |B1|, |B2|)
+            assert "too degenerate" in str(exc) and (bits, frac) == (128, "1e-17")
+            continue
+        A1_ref = curve(g, c, ref, with_dc=False).A1
+        with ref.workprec():
+            assert abs(A1 / A1_ref - 1) <= mp.mpf(2) ** (20 - bits)
 
 
 def test_pushed_solve_near_marginal_direction_is_direct():
@@ -1068,8 +1108,8 @@ def test_equilibrium_masses_on_narrow_pushed_supports(bits, c):
     # the on-cut pair of a support about 4 c |w2(alpha1)| wide is an exact
     # conjugate pair, and the density samples carry the 2 log2(scale/width)
     # bits its discriminant cancels, so the node nearest each edge of a
-    # 1.4e-19-wide support reads its density. Measured: 1.0e-25, 1.4e-41,
-    # 6.4e-27, 6.9e-44 and 1.4e-20 of the mass; without the extra bits 5.6e-15,
+    # 1.4e-19-wide support reads its density. Measured: 2.2e-26, 1.7e-41,
+    # 6.8e-27, 6.2e-44 and 6.9e-22 of the mass; without the extra bits 5.6e-15,
     # 2.5e-16, 9.2e-18, 3.1e-8 and 3.9e-7, the last two under the 1e-6 certificate
     ctx = PrecisionContext(bits)
     cd = curve(G0, c, ctx, with_dc=False)
