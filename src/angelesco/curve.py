@@ -17,6 +17,7 @@ pushed off the second) reduce to small Newton systems in the map parameters.
 
 import cmath
 import json
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -272,6 +273,91 @@ def _chi_residual_rows(params, targets, ctx):
     return F, J, w_crit
 
 
+def _double_map_solve(x0, targets, c=None):
+    """The map Newton solved in doubles from x0: (A1, A2, B1, B2) as mpf, or None.
+
+    The rows and Jacobian are those of ``_chi_residual_rows``, with the mass
+    row of ``_pushed_left_solve`` in row 1 when c is given. Each critical
+    point is the ``_double_zero`` of its bracket in u = w - B_k, from its own
+    pole, and w - B1, w - B2 are formed from u and the gap B2 - B1. The steps
+    are damped as in ``_newton`` and solved by float elimination with partial
+    pivoting. The context-precision ``_newton`` then starts about 1e-16 from
+    its solution and only polishes it. None when x0 fails the validator
+    (A1, A2 > 0, B1 < B2), when a value at x0 or in a linear solve is not
+    finite, divides by zero or overflows, or when the residual ends above
+    1e-10 max(1, |targets|); ``_newton`` then starts from x0. A trial step
+    that fails in these ways is halved, as in ``_newton``.
+    """
+    t = [float(v) for v in targets]
+    scale = max(1.0, *map(abs, t))
+
+    def rows(x):
+        A1, A2, B1, B2 = x
+        if not (A1 > 0 and A2 > 0 and B1 < B2):
+            raise ValueError("parameters out of range")
+        gap = B2 - B1
+        r1, r2, far = math.sqrt(A1) / 2, math.sqrt(A2) / 2, 2 * math.sqrt(A1 + A2)
+        m = gap / (1 + (A2 / A1) ** (1 / 3))  # wm - B1
+        if not (r1 < m < gap - r2 and 1 - A1 / m ** 2 - A2 / (m - gap) ** 2 > 0):
+            raise ValueError("middle critical points are not real")
+        F, J = [], []
+        for k, lo, hi, target in zip((0, 0, 1, 1), (-far, r1, m - gap, r2), (-r1, m, -r2, far), t):
+            u = _double_zero(*((A2, A1, -gap) if k else (A1, A2, gap)), lo, hi)
+            if u is None:
+                raise ValueError("doubles cannot resolve the bracket")
+            d1, d2 = (u + gap, u) if k else (u, u - gap)
+            F.append(x[2 + k] - target + u + A1 / d1 + A2 / d2)
+            J.append([1 / d1, 1 / d2, A1 / d1 ** 2, A2 / d2 ** 2])
+        if c is not None:
+            F[1], J[1] = _mass_row(x, float(c))
+        if not all(map(math.isfinite, F + [v for row in J for v in row])):
+            raise ValueError("non-finite row")
+        return F, J
+
+    try:
+        x = [float(v) for v in x0]
+        fx, J = rows(x)
+        best = max(map(abs, fx))
+        for _ in range(80):
+            step = _double_solve(J, [-v for v in fx])
+            lam = 1.0
+            for _ in range(60):
+                xn = [xi + lam * si for xi, si in zip(x, step)]
+                try:
+                    fn, Jn = rows(xn)
+                except (ArithmeticError, ValueError):
+                    fn = None
+                if fn is not None and max(map(abs, fn)) < best:
+                    x, fx, J, best = xn, fn, Jn, max(map(abs, fn))
+                    break
+                lam /= 2
+            else:
+                break
+            # a step within 2^-26 of each unknown's scale leaves an error at the double floor
+            if best == 0 or all(abs(lam * s) <= 2 ** -26 * v
+                                for s, v in zip(step, (x[0], x[1], scale, scale))):
+                break
+    except (ArithmeticError, ValueError):
+        return None
+    return [mp.mpf(v) for v in x] if best <= 1e-10 * scale else None
+
+
+def _double_solve(M, b):
+    """M y = b by Gaussian elimination with partial pivoting, in doubles."""
+    n = len(b)
+    M = [row + [v] for row, v in zip(M, b)]
+    for i in range(n):
+        p = max(range(i, n), key=lambda r: abs(M[r][i]))
+        M[i], M[p] = M[p], M[i]
+        for r in range(i + 1, n):
+            f = M[r][i] / M[i][i]
+            M[r] = [u - f * v for u, v in zip(M[r], M[i])]
+    y = []
+    for i in reversed(range(n)):
+        y.insert(0, (M[i][n] - sum(a * v for a, v in zip(M[i][i + 1:n], y))) / M[i][i])
+    return y
+
+
 def _default_seed(branch_points):
     a1, b1, a2, b2 = branch_points
     return [
@@ -285,7 +371,8 @@ def _default_seed(branch_points):
 def chi_solve(branch_points, ctx):
     """Map parameters (A1, A2, B1, B2) whose critical values hit the branch points.
 
-    One Newton solve in all four unknowns from interval-based seeds.
+    One Newton solve in all four unknowns from interval-based seeds, solved
+    in doubles first and polished at context precision.
     Returns (params, w_crit, residual).
     """
     with ctx.workprec():
@@ -293,7 +380,9 @@ def chi_solve(branch_points, ctx):
         if not all(x < y for x, y in zip(bp, bp[1:])):
             raise SolveFailure("branch points must be strictly increasing")
 
-        x, resid, w_crit = _newton(lambda y: _chi_residual_rows(y, bp, ctx), _default_seed(bp),
+        x0 = _default_seed(bp)
+        x0 = _double_map_solve(x0, bp) or x0
+        x, resid, w_crit = _newton(lambda y: _chi_residual_rows(y, bp, ctx), x0,
                                    ctx, validator=lambda y: y[0] > 0 and y[1] > 0 and y[2] < y[3])
         if resid > ctx.solve_tolerance * max(1, max(abs(v) for v in bp)):
             raise SolveFailure(f"residual {mp.nstr(resid, 5)} above tolerance")
@@ -304,11 +393,23 @@ _FULL_MAP_CACHE = {}
 
 
 def _full_map(geometry, ctx):
-    """chi_solve on the full supports, once per (endpoints, bits)."""
+    """chi_solve on the full supports, once per (endpoints, bits).
+
+    A geometry whose mirror image is cached is served from it: under x -> -x
+    A1 and A2 swap, (B1, B2) -> (-B2, -B1) and the critical points reverse
+    and change sign, each negation exact.
+    """
     key = (geometry.as_tuple(), ctx.mantissa_bits)
     hit = _FULL_MAP_CACHE.get(key)
     if hit is None:
-        hit = _FULL_MAP_CACHE[key] = chi_solve(geometry.as_tuple(), ctx)
+        mirror = _FULL_MAP_CACHE.get((geometry.mirrored().as_tuple(), ctx.mantissa_bits))
+        if mirror is None:
+            hit = chi_solve(geometry.as_tuple(), ctx)
+        else:
+            (A1, A2, B1, B2), w_crit, resid = mirror
+            hit = ((A2, A1, mp.fneg(B2, exact=True), mp.fneg(B1, exact=True)),
+                   tuple(mp.fneg(w, exact=True) for w in reversed(w_crit)), resid)
+        _FULL_MAP_CACHE[key] = hit
     return hit
 
 
@@ -354,7 +455,8 @@ def _pushed_left_solve(geometry, c, c_star, ctx):
     R'(w2) = 0 reads A1/c^2 + A2/(1 - c)^2 = (B2 - B1)^2; its row is that
     equation divided by (B2 - B1)^2. The pushed endpoint is beta = R(w2).
     For c < c*/4 the seed follows the small-c law A1 ~ (c |w2(alpha1)|)^2;
-    otherwise it is the full-geometry map.
+    otherwise it is the full-geometry map. The solve runs in doubles from
+    that seed first and is polished at context precision.
     """
     g = geometry
     if c < SMALL_C_SEED_FRACTION * c_star:
@@ -364,20 +466,27 @@ def _pushed_left_solve(geometry, c, c_star, ctx):
     else:
         x0 = _full_map(g, ctx)[0]
 
+    x0 = _double_map_solve(x0, g.as_tuple(), c) or x0
+
     def F(x):
-        A1, A2, B1, B2 = x
         # rows 0, 2, 3 hit alpha1, alpha2, beta2; row 1 becomes the mass row
         rows, J, w_crit = _chi_residual_rows(x, g.as_tuple(), ctx)
-        D = B2 - B1
-        S = A1 / c ** 2 + A2 / (1 - c) ** 2
-        rows[1] = S / D ** 2 - 1
-        J[1] = [1 / (c * D) ** 2, 1 / ((1 - c) * D) ** 2, 2 * S / D ** 3, -2 * S / D ** 3]
+        rows[1], J[1] = _mass_row(x, c)
         return rows, J, w_crit
 
     x, resid, w_crit = _newton(F, x0, ctx, validator=lambda y: y[0] > 0 and y[1] > 0 and y[2] < y[3])
     if resid > ctx.solve_tolerance * _scale_of(x):
         raise SolveFailure(f"pushed-regime residual {mp.nstr(resid, 5)}")
     return tuple(x), resid, w_crit
+
+
+def _mass_row(x, c):
+    """The pushed solve's mass row S/(B2 - B1)^2 - 1, S = A1/c^2 + A2/(1 - c)^2, and its
+    Jacobian row, in the arithmetic of x and c."""
+    A1, A2, B1, B2 = x
+    D = B2 - B1
+    S = A1 / c ** 2 + A2 / (1 - c) ** 2
+    return S / D ** 2 - 1, [1 / (c * D) ** 2, 1 / ((1 - c) * D) ** 2, 2 * S / D ** 3, -2 * S / D ** 3]
 
 
 def _mirror_curve(curve_data, geometry):

@@ -218,6 +218,19 @@ def test_curve_critical_points_from_double_seeds_bound_the_work(monkeypatch):
         assert len(points) <= bound
 
 
+def test_chi_solve_polishes_a_double_precision_solve(monkeypatch):
+    # the map Newton converges in doubles first; at 192 bits the context-
+    # precision Newton evaluates its start and two quadratic steps (6 from
+    # the interval seed)
+    module = sys.modules["angelesco.curve"]
+    calls = []
+    real_rows = module._chi_residual_rows
+    monkeypatch.setattr(module, "_chi_residual_rows",
+                        lambda *args: calls.append(args) or real_rows(*args))
+    chi_solve(G0.as_tuple(), PrecisionContext(192))
+    assert len(calls) <= 3
+
+
 def test_curve_refuses_poles_below_the_bracket_floor():
     # at c = 1e-40 the pushed solve's A1 is of order c^2, so sqrt(A1)/2 is far
     # below 2^-64 and B1 +- sqrt(A1)/2 rounds to B1 at 128 bits
@@ -550,12 +563,19 @@ def test_curve_json_identical_across_solves():
 # ---------------------------------------------------------------------------
 
 def _oracle_roots(cd, z, bits):
-    """The three preimages of z under R, by mp.polyroots at twice the bits."""
+    """The three preimages of z under R, by mp.polyroots at twice the bits.
+
+    The extra precision grows with 2 log2 of the largest coefficient, the
+    spread between the root near a large z and the two near the poles: with
+    extraprec = bits alone, polyroots raised NoConvergence at z = 1e300 + i
+    and 192 bits for maps whose A_k, B_k differ in their last bits.
+    """
     A1, A2, B1, B2 = cd.params()
     with mp.workprec(2 * bits):
         coeffs = [1, -(B1 + B2 + z), B1 * B2 + z * (B1 + B2) + A1 + A2,
                   -z * B1 * B2 - A1 * B2 - A2 * B1]
-        return mp.polyroots(coeffs, maxsteps=200, extraprec=bits)
+        extra = bits + 2 * max(0, mp.mag(max(abs(v) for v in coeffs)))
+        return mp.polyroots(coeffs, maxsteps=200, extraprec=extra)
 
 
 def _oracle_match(prev, roots):
@@ -939,6 +959,109 @@ def test_asymmetric_geometry_regimes():
 
 
 # ---------------------------------------------------------------------------
+# Map Newton seeded by a double-precision solve; mirror symmetry
+# ---------------------------------------------------------------------------
+
+NAMED_GEOMETRIES = [("-2", "-1", "1", "2"), ("-2.3", "-1", "1", "1.9"), ("-1.1", "-1", "1", "5"),
+                    ("-3", "-2.9", "-2.8", "4"), ("-1.01", "-1", "1", "100"),
+                    ("-100", "-1", "1", "1.01")]
+
+
+def _random_geometry(log_l1, log_l2, log_gap, shift):
+    a2 = -1 + 10 ** log_gap
+    return tuple(f"{v + shift:.4f}" for v in (-1 - 10 ** log_l1, -1, a2, a2 + 10 ** log_l2))
+
+
+GEOMETRIES = st.one_of(
+    st.sampled_from(NAMED_GEOMETRIES + [("999998", "999999", "1000001", "1000002"),
+                                        ("-1.01", "-1", "-0.9684", "-0.9584")]),
+    st.builds(_random_geometry, st.floats(-2, 2), st.floats(-2, 2), st.floats(-1.5, 0.7),
+              st.sampled_from([0, 1000, -1000000])))
+
+
+def _c_in_regime(g, ctx, regime, frac):
+    """c = frac c* left of c*, c* + frac (c** - c*) between, 1 - frac (1 - c**) right of c**."""
+    th = critical_thresholds(g, ctx)
+    with ctx.workprec():
+        frac = mp.mpf(frac)
+        return {PUSHED_LEFT: th.c_star * frac,
+                MIDDLE: th.c_star + frac * (th.c_dstar - th.c_star),
+                PUSHED_RIGHT: 1 - frac * (1 - th.c_dstar)}[regime]
+
+
+def _curve_outcome(g, c, ctx):
+    """The curve's values, or the type and message of its refusal."""
+    try:
+        cd = curve(g, c, ctx, with_dc=False)
+    except AngelescoError as exc:
+        return type(exc), str(exc)
+    return cd.regime, cd.params() + (cd.beta_c1, cd.alpha_c2, cd.z_c) + cd.w_crit
+
+
+def _without_double_seed(g, c, ctx):
+    module = sys.modules["angelesco.curve"]
+    with pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(module, "_double_map_solve", lambda *args: None)
+        mpatch.setattr(module, "_FULL_MAP_CACHE", {})
+        return _curve_outcome(g, c, ctx)
+
+
+@settings(max_examples=30, deadline=None)
+@given(bits=st.sampled_from([128, 192, 512]), geo=GEOMETRIES,
+       regime=st.sampled_from([PUSHED_LEFT, MIDDLE, PUSHED_RIGHT]),
+       frac=st.sampled_from(["1e-12", "1e-6", "0.01", "0.3", "0.5", "0.9"]))
+def test_double_seed_leaves_the_map_solves_unchanged(bits, geo, regime, frac):
+    # the context-precision Newton is the certificate: from the double seed
+    # or from the old starts it reaches the same solution, or the same refusal.
+    # Values are held to the endpoints' scale too, the scale of the solve's
+    # residual: on a geometry translated by 1e6, A1 from the old start sits
+    # 3 units of 2^(20 - bits) off a 512-bit solve and A1 from the seed 0.004
+    g, ctx = Geometry(*geo), PrecisionContext(bits)
+    c = _c_in_regime(g, ctx, regime, frac)
+    seeded, unseeded = _curve_outcome(g, c, ctx), _without_double_seed(g, c, ctx)
+    assert seeded[0] == unseeded[0]
+    if isinstance(seeded[1], str):
+        assert seeded == unseeded
+        return
+    with ctx.workprec():
+        scale = max(abs(v) for v in g.as_tuple())
+        for u, v in zip(seeded[1], unseeded[1]):
+            assert abs(u - v) <= mp.ldexp(max(1, abs(v), scale), 20 - bits)
+
+
+def test_double_seed_keeps_the_bracket_floor_refusal():
+    ctx = PrecisionContext(128)
+    for outcome in (_curve_outcome(G0, "1e-40", ctx), _without_double_seed(G0, "1e-40", ctx)):
+        assert outcome[0] is SolveFailure and "too degenerate" in outcome[1]
+
+
+@settings(max_examples=20, deadline=None)
+@given(bits=st.sampled_from([128, 192, 512]), geo=GEOMETRIES,
+       regime=st.sampled_from([PUSHED_LEFT, MIDDLE, PUSHED_RIGHT]),
+       frac=st.sampled_from(["1e-6", "0.01", "0.3", "0.5", "0.9"]))
+def test_curve_is_the_mirror_of_the_mirrored_geometry(bits, geo, regime, frac):
+    # each side from a cold cache, so both full maps are solved; then the
+    # geometry's map again, served from the cached map of its mirror image
+    module = sys.modules["angelesco.curve"]
+    g, ctx = Geometry(*geo), PrecisionContext(bits)
+    c = _c_in_regime(g, ctx, regime, frac)
+    with pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(module, "_FULL_MAP_CACHE", {})
+        direct = curve(g, c, ctx, with_dc=False)
+        mpatch.setattr(module, "_FULL_MAP_CACHE", {})
+        with ctx.workprec():
+            mirrored = _mirror_curve(curve(g.mirrored(), 1 - c, ctx, with_dc=False), g)
+        served = curve(g, c, ctx, with_dc=False)
+    fields = ("A1", "A2", "B1", "B2", "beta_c1", "alpha_c2", "z_c", "w_star")
+    with ctx.workprec():
+        for other in (mirrored, served):
+            assert other.regime == direct.regime == regime
+            for u, v in zip([getattr(direct, f) for f in fields] + list(direct.w_crit),
+                            [getattr(other, f) for f in fields] + list(other.w_crit)):
+                assert abs(u - v) <= ctx.solve_tolerance * max(1, abs(u))
+
+
+# ---------------------------------------------------------------------------
 # Pushed-regime solve: one Newton with the mass condition in closed form
 # ---------------------------------------------------------------------------
 
@@ -1017,11 +1140,6 @@ def test_dc_oracle_tells_c_from_one_minus_c(c, beta):
     with ctx.workprec():
         g = Geometry("-100", "-1", "1", "1.01")
         assert abs(dc_oracle(g, c, ctx)[1] - mp.mpf(beta)) < mp.mpf("1e-28")
-
-
-NAMED_GEOMETRIES = [("-2", "-1", "1", "2"), ("-2.3", "-1", "1", "1.9"), ("-1.1", "-1", "1", "5"),
-                    ("-3", "-2.9", "-2.8", "4"), ("-1.01", "-1", "1", "100"),
-                    ("-100", "-1", "1", "1.01")]
 
 
 def _dc_gap(endpoints, c_of, bits):
