@@ -103,71 +103,57 @@ def _Rpp(w, p):
     return 2 * A1 / (w - B1) ** 3 + 2 * A2 / (w - B2) ** 3
 
 
-def _critical_points(p, ctx):
-    """The four real zeros w1 < B1 < w2 <= w3 < B2 < w4 of R', by ``find_root`` with R''.
+def _brackets(p, sqrt, tol=0):
+    """Brackets (k, lo, hi) of the four zeros of R', each in u = w - B_k about its own pole.
 
     With s = sqrt(A1 + A2), R' <= -3 within sqrt(A_k)/2 of B_k and R' >= 3/4
     at 2s beyond both poles, and R''' < 0 makes R' monotone on each side of
     B1, of B2 and of wm, the one zero of R'' between the poles. So each of
     [B1 - 2s, B1 - sqrt(A1)/2], [B1 + sqrt(A1)/2, wm], [wm, B2 - sqrt(A2)/2]
-    and [B2 + sqrt(A2)/2, B2 + 2s] holds one simple zero. SolveFailure when
-    the middle pair is not real (wm within sqrt(A_k)/2 of B_k, or R'(wm) <= 0),
-    and when min sqrt(A_k)/2 <= solve tolerance * max(1, |B1|, |B2|): there
-    B_k +- sqrt(A_k)/2 does not resolve the pole. Newton starts from the
-    double-precision zero of ``_double_seeds`` where there is one, so that
-    ``find_root`` at context precision only polishes it: the zeros, their
-    brackets and their tolerance are those of a search from the midpoint.
+    and [B2 + sqrt(A2)/2, B2 + 2s] holds one simple zero: w1 and w2 about B1
+    (k = 0), w3 and w4 about B2 (k = 1). In the arithmetic of p and sqrt.
+    SolveFailure when min sqrt(A_k)/2 <= tol, where B_k +- sqrt(A_k)/2 does
+    not resolve the pole, and when the middle pair is not real (wm within
+    sqrt(A_k)/2 of B_k, or R'(wm) <= 0).
+    """
+    A1, A2, B1, B2 = p
+    gap = B2 - B1
+    r1, r2, far = sqrt(A1) / 2, sqrt(A2) / 2, 2 * sqrt(A1 + A2)
+    if min(r1, r2) <= tol:
+        raise SolveFailure("poles too degenerate for bracketing")
+    # R'' has exactly one zero between the poles, at the top of the bump: wm - B1
+    m = gap / (1 + (A2 / A1) ** (1 / 3))
+    if not (r1 < m < gap - r2 and 1 - A1 / (m * m) - A2 / ((m - gap) * (m - gap)) > 0):
+        raise SolveFailure("middle critical points are not real")
+    return ((0, -far, -r1), (0, r1, m), (1, m - gap, -r2), (1, r2, far))
+
+
+def _critical_points(p, ctx):
+    """The four real zeros w1 < B1 < w2 <= w3 < B2 < w4 of R', by ``find_root`` with R''.
+
+    Each is searched from the midpoint of its ``_brackets`` bracket, to
+    2^(4 - bits) max(1, |B1|, |B2|). SolveFailure for parameters out of
+    range, and from ``_brackets`` with tol = solve tolerance * max(1, |B1|, |B2|).
+    The map solve starts from these where doubles fail; tests use them as
+    the oracle of its critical points.
     """
     A1, A2, B1, B2 = p
     if not (A1 > 0 and A2 > 0 and B1 < B2):
         raise SolveFailure("parameters out of range for critical-point search")
     scale = max(1, abs(B1), abs(B2))
-    r1, r2 = mp.sqrt(A1) / 2, mp.sqrt(A2) / 2
-    if min(r1, r2) <= ctx.solve_tolerance * scale:
-        raise SolveFailure("poles too degenerate for bracketing")
-    # R'' has exactly one zero between the poles, at the top of the bump
-    t = (A2 / A1) ** (mp.mpf(1) / 3)
-    wm = (B2 + t * B1) / (1 + t)
-    if not (B1 + r1 < wm < B2 - r2 and _Rp(wm, p) > 0):
-        raise SolveFailure("middle critical points are not real")
-    far = 2 * mp.sqrt(A1 + A2)
     # full-precision refinement: c* and c** are first order in w2 and w3
     tol = mp.mpf(2) ** (4 - ctx.mantissa_bits) * scale
-    brackets = ((0, B1 - far, B1 - r1), (0, B1 + r1, wm), (1, wm, B2 - r2), (1, B2 + r2, B2 + far))
     return tuple(
-        find_root(lambda w: _Rp(w, p), lambda w: _Rpp(w, p), lo, hi, ctx, tol, start=seed)
-        for (_, lo, hi), seed in zip(brackets, _double_seeds(p, brackets)))
-
-
-def _double_seeds(p, brackets):
-    """Double-precision zeros of R' in the brackets (k, lo, hi) of B_k, as mpf, or None each.
-
-    Each is found in u = w - B_k, from the bracket's own pole (k = 0 for B1,
-    1 for B2): absolute doubles cannot resolve w - B_k once |B_k| >> sqrt(A_k).
-    All are None when A1, A2 or (B2 - B1)^2 lies outside (1e-200, 1e200),
-    where the cubes in R'' would under- or overflow; ``find_root`` then
-    starts at the midpoint, as it also does for a seed outside its bracket.
-    """
-    A1, A2, B1, B2 = p
-    a1, a2, gap = float(A1), float(A2), float(B2 - B1)
-    if not all(1e-200 < v < 1e200 for v in (a1, a2, gap * gap)):
-        return [None] * len(brackets)
-    seeds = []
-    for k, lo, hi in brackets:
-        pole = p[2 + k]
-        # the bracket's own pole at u = 0, the other one at u = other
-        a, b, other = (a2, a1, -gap) if k else (a1, a2, gap)
-        u = _double_zero(a, b, other, float(lo - pole), float(hi - pole))
-        seeds.append(None if u is None else pole + mp.mpf(u))
-    return seeds
+        find_root(lambda w: _Rp(w, p), lambda w: _Rpp(w, p), p[2 + k] + lo, p[2 + k] + hi, ctx, tol)
+        for k, lo, hi in _brackets(p, mp.sqrt, ctx.solve_tolerance * scale))
 
 
 def _double_zero(a, b, other, lo, hi):
-    """The zero of 1 - a/u^2 - b/(u - other)^2 in the sign-change bracket [lo, hi], or None.
+    """The zero of 1 - a/u^2 - b/(u - other)^2 in the sign-change bracket [lo, hi], in doubles.
 
-    Bracketed Newton in doubles, as ``find_root``; None when a division by
-    zero, an overflow or a non-finite result shows that doubles cannot
-    resolve the bracket.
+    Bracketed Newton, as ``find_root``. Where doubles cannot resolve the
+    bracket, a division by zero or an overflow raises its ArithmeticError
+    and a non-finite zero SolveFailure.
     """
     def f(u):
         v = u - other
@@ -177,27 +163,26 @@ def _double_zero(a, b, other, lo, hi):
         v = u - other
         return 2 * a / (u * u * u) + 2 * b / (v * v * v)
 
-    try:
-        lo_positive = f(lo) > 0
-        u = (lo + hi) / 2
-        for _ in range(200):
-            fu = f(u)
-            if fu == 0:
-                break
-            if (fu > 0) == lo_positive:
-                lo = u
-            else:
-                hi = u
-            du = fu / fp(u)
-            if abs(du) <= 2 ** -52 * abs(u):
-                u -= du
-                break
-            u = u - du if lo < u - du < hi else (lo + hi) / 2
-            if hi - lo <= 2 ** -52 * abs(u):
-                break
-    except (ZeroDivisionError, OverflowError):
-        return None
-    return u if cmath.isfinite(u) else None
+    lo_positive = f(lo) > 0
+    u = (lo + hi) / 2
+    for _ in range(200):
+        fu = f(u)
+        if fu == 0:
+            break
+        if (fu > 0) == lo_positive:
+            lo = u
+        else:
+            hi = u
+        du = fu / fp(u)
+        if abs(du) <= 2 ** -52 * abs(u):
+            u -= du
+            break
+        u = u - du if lo < u - du < hi else (lo + hi) / 2
+        if hi - lo <= 2 ** -52 * abs(u):
+            break
+    if not math.isfinite(u):
+        raise SolveFailure("doubles cannot resolve the bracket")
+    return u
 
 
 def _mass_of_wstar(p, w_star):
@@ -214,132 +199,154 @@ def _mass_of_wstar(p, w_star):
 # Newton solvers
 # ---------------------------------------------------------------------------
 
-def _newton(F, x0, ctx, validator=None):
-    """Damped Newton, at most 80 steps, on F(x) = (residuals, Jacobian, critical points of R);
-    returns (x, residual, critical points) of the accepted iterate."""
+def _newton(rows, x0, ctx=None, scale=1):
+    """Damped Newton on rows(x) = (residuals, step), in doubles when ctx is None and at
+    ctx's precision otherwise; returns (x, largest residual) of the accepted iterate.
+
+    step(solve) is the Newton step at x, given the arithmetic's linear
+    solver solve(J, b). It is halved at most 60 times until rows succeed,
+    finite, with a smaller largest residual (or one below the solve
+    tolerance). A trial point that fails that test gets one more chance,
+    corrected by step(solve) with a solve that returns zeros: the unknowns
+    that the step eliminates, moved by their own Newton step there. At most
+    80 steps, and none once the residual is within 2^8 roundings of scale,
+    2^4 in doubles: a polish at context precision squares what doubles
+    leave. SolveFailure when the rows fail at x0, when a linear solve fails,
+    or when the residual ends above the solve tolerance times scale.
+    """
     from .precision import solve_dense
 
-    x = [mp.mpf(v) for v in x0]
-    fx, J, w_crit = F(x)
-    best = max(abs(v) for v in fx)
+    if ctx is None:
+        num, bits, margin, solve = float, 53, 4, _double_solve
+    else:
+        num, bits, margin = mp.mpf, ctx.mantissa_bits, 8
+
+        def solve(J, b):
+            return solve_dense(J, b, ctx)[0]
+
+    def trial(xn):
+        # rows at xn and their largest residual, or None where they fail or are
+        # not finite (v - v == 0 in either arithmetic)
+        try:
+            fn, sn = rows(xn)
+        except (SolveFailure, ArithmeticError):
+            return None
+        return (max(abs(v) for v in fn), sn) if all(v - v == 0 for v in fn) else None
+
+    tol = num(2) ** (-bits // 2)  # ctx.solve_tolerance at context precision
+    x = [num(v) for v in x0]
+    start = trial(x)
+    if start is None:
+        raise SolveFailure("Newton rows fail at the start")
+    best, step_at = start
     for _ in range(80):
         try:
-            step, _ = solve_dense(J, [-v for v in fx], ctx)
-        except (SingularSystem, ShapeError) as exc:
+            step = step_at(solve)
+        except (SingularSystem, ShapeError, ZeroDivisionError) as exc:
             raise SolveFailure(f"Newton linear solve failed: {exc}") from exc
-        lam = mp.mpf(1)
+        lam = num(1)
         for _ in range(60):
             xn = [xi + lam * si for xi, si in zip(x, step)]
-            if validator is None or validator(xn):
-                try:
-                    fn, Jn, wn = F(xn)
-                except (SolveFailure, ZeroDivisionError, ValueError):
-                    fn = None
-                else:
-                    if all(mp.isfinite(v) for v in fn):
-                        r = max(abs(v) for v in fn)
-                        if r < best or r < ctx.solve_tolerance:
-                            x, fx, J, w_crit, best = xn, fn, Jn, wn, r
-                            break
+            got = trial(xn)
+            if got and not (got[0] < best or got[0] < tol):
+                xn = [xi + si for xi, si in zip(xn, got[1](lambda J, b: [0 * v for v in b]))]
+                got = trial(xn)
+            if got and (got[0] < best or got[0] < tol):
+                x, (best, step_at) = xn, got
+                break
             lam /= 2
         else:
             break
-        if best == 0 or best < mp.mpf(2) ** (8 - ctx.mantissa_bits) * _scale_of(x):
+        if best == 0 or best < num(2) ** (margin - bits) * scale:
             break
-    return x, best, w_crit
+    if not best <= tol * scale:
+        raise SolveFailure(f"residual {mp.nstr(best, 5)} above tolerance")
+    return x, best
 
 
-def _scale_of(x):
-    return max(mp.mpf(1), max(abs(v) for v in x))
+def _map_rows(targets, c=None):
+    """The map solve's rows for ``_newton``, at x = (A1, A2, B1, B2, u1, u2, u3, u4).
 
+    Each critical point is carried about its own pole, u_j = w_j - B_k (B1
+    for w1 and w2, B2 for w3 and w4), and w_j - B1, w_j - B2 are formed from
+    u_j and the gap B2 - B1, so that narrow or translated supports cancel no
+    digits. A free w_j has the rows R(w_j) - t_j and R'(w_j) = 0; with c,
+    w2 is pinned at w* = B1 + c (B2 - B1), and its one row is ``_mass_row``.
+    The residuals are these rows, each R'(w_j) times the span of the targets,
+    a fixed length, so that a short enough Newton step lowers every one of
+    them. The step eliminates each R' row, dw_j = -(R' + d_p R' dp)/R'',
+    which leaves one row in dp = d(A1, A2, B1, B2),
 
-def _chi_residual_rows(params, targets, ctx):
-    """Residuals R(w_j) - target_j, the analytic Jacobian rows and the w_j.
+        R - t_j - R'^2/R'' + (d_p R - (R'/R'') d_p R') dp = 0,
 
-    Because R'(w_j) = 0 at a critical point, d R(w_j)/d(param) is just the
-    partial of R with the point held fixed.
+    partials at w_j held; where R' = 0 this is R(w_j) - t_j at the critical
+    point. Only + - * / of x's arithmetic. SolveFailure unless A1, A2 > 0
+    and w1 < B1 < w2 < w3 < B2 < w4.
     """
-    A1, A2, B1, B2 = params
-    w_crit = _critical_points(tuple(params), ctx)
-    F = [_R(wj, params) - t for wj, t in zip(w_crit, targets)]
-    J = []
-    for wj in w_crit:
-        J.append([
-            1 / (wj - B1),
-            1 / (wj - B2),
-            A1 / (wj - B1) ** 2,
-            A2 / (wj - B2) ** 2,
-        ])
-    return F, J, w_crit
-
-
-def _double_map_solve(x0, targets, c=None):
-    """The map Newton solved in doubles from x0: (A1, A2, B1, B2) as mpf, or None.
-
-    The rows and Jacobian are those of ``_chi_residual_rows``, with the mass
-    row of ``_pushed_left_solve`` in row 1 when c is given. Each critical
-    point is the ``_double_zero`` of its bracket in u = w - B_k, from its own
-    pole, and w - B1, w - B2 are formed from u and the gap B2 - B1. The steps
-    are damped as in ``_newton`` and solved by float elimination with partial
-    pivoting. The context-precision ``_newton`` then starts about 1e-16 from
-    its solution and only polishes it. None when x0 fails the validator
-    (A1, A2 > 0, B1 < B2), when a value at x0 or in a linear solve is not
-    finite, divides by zero or overflows, or when the residual ends above
-    1e-10 max(1, |targets|); ``_newton`` then starts from x0. A trial step
-    that fails in these ways is halved, as in ``_newton``.
-    """
-    t = [float(v) for v in targets]
-    scale = max(1.0, *map(abs, t))
+    span = targets[3] - targets[0]
 
     def rows(x):
-        A1, A2, B1, B2 = x
-        if not (A1 > 0 and A2 > 0 and B1 < B2):
-            raise ValueError("parameters out of range")
+        A1, A2, B1, B2, *u = x
         gap = B2 - B1
-        r1, r2, far = math.sqrt(A1) / 2, math.sqrt(A2) / 2, 2 * math.sqrt(A1 + A2)
-        m = gap / (1 + (A2 / A1) ** (1 / 3))  # wm - B1
-        if not (r1 < m < gap - r2 and 1 - A1 / m ** 2 - A2 / (m - gap) ** 2 > 0):
-            raise ValueError("middle critical points are not real")
-        F, J = [], []
-        for k, lo, hi, target in zip((0, 0, 1, 1), (-far, r1, m - gap, r2), (-r1, m, -r2, far), t):
-            u = _double_zero(*((A2, A1, -gap) if k else (A1, A2, gap)), lo, hi)
-            if u is None:
-                raise ValueError("doubles cannot resolve the bracket")
-            d1, d2 = (u + gap, u) if k else (u, u - gap)
-            F.append(x[2 + k] - target + u + A1 / d1 + A2 / d2)
-            J.append([1 / d1, 1 / d2, A1 / d1 ** 2, A2 / d2 ** 2])
         if c is not None:
-            F[1], J[1] = _mass_row(x, float(c))
-        if not all(map(math.isfinite, F + [v for row in J for v in row])):
-            raise ValueError("non-finite row")
-        return F, J
+            u[1] = c * gap
+        if not (A1 > 0 and A2 > 0 and u[0] < 0 < u[1] < gap + u[2] and u[2] < 0 < u[3]):
+            raise SolveFailure("map parameters out of order")
+        out = []  # per w_j: residuals, eliminated row, its Jacobian row, R'/R'', dw_j/dp
+        for j, (k, uj, t) in enumerate(zip((0, 0, 1, 1), u, targets)):
+            if c is not None and j == 1:
+                f, row = _mass_row(x[:4], c)
+                out.append(([f], f, row, 0, [0, 0, 1 - c, c]))
+                continue
+            d1, d2 = (uj + gap, uj) if k else (uj, uj - gap)
+            i1, i2 = 1 / d1, 1 / d2
+            dR = [i1, i2, A1 * i1 * i1, A2 * i2 * i2]
+            q = [i1 * i1, i2 * i2, 2 * dR[2] * i1, 2 * dR[3] * i2]  # -d_p R'
+            Rp, Rpp = 1 - dR[2] - dR[3], q[2] + q[3]
+            g = Rp / Rpp
+            r = x[2 + k] + uj + A1 * i1 + A2 * i2 - t
+            out.append(([r, Rp * span], r - Rp * g, [a + g * b for a, b in zip(dR, q)],
+                        g, [b / Rpp for b in q]))
+        res, F, J, G, H = zip(*out)
 
+        def step(solve):
+            dp = solve(list(J), [-f for f in F])
+            # dw_j = h_j dp - g_j, and du_j = dw_j - dB_k
+            return list(dp) + [sum(a * b for a, b in zip(h, dp)) - g - dp[2 + k]
+                               for k, g, h in zip((0, 0, 1, 1), G, H)]
+        return [v for rj in res for v in rj], step
+    return rows
+
+
+def _map_solve(seed, targets, ctx, c=None):
+    """(A1, A2, B1, B2) whose critical values hit the targets, by ``_newton`` on ``_map_rows``;
+    with c, w2 = B1 + c (B2 - B1) replaces the second target. Returns (params, w_crit, residual).
+
+    Newton runs in doubles from the seed, each u_j from the ``_double_zero``
+    of its bracket, and then at context precision from that solution, which
+    it only polishes; where doubles fail, from the seed and its
+    ``_critical_points``. The scale is max(1, |targets|). The accepted
+    parameters must pass ``_brackets`` at ``_critical_points``' tolerance:
+    SolveFailure "poles too degenerate" where B_k +- sqrt(A_k)/2 does not
+    resolve the pole.
+    """
+    scale = max(1, *(abs(t) for t in targets))
     try:
-        x = [float(v) for v in x0]
-        fx, J = rows(x)
-        best = max(map(abs, fx))
-        for _ in range(80):
-            step = _double_solve(J, [-v for v in fx])
-            lam = 1.0
-            for _ in range(60):
-                xn = [xi + lam * si for xi, si in zip(x, step)]
-                try:
-                    fn, Jn = rows(xn)
-                except (ArithmeticError, ValueError):
-                    fn = None
-                if fn is not None and max(map(abs, fn)) < best:
-                    x, fx, J, best = xn, fn, Jn, max(map(abs, fn))
-                    break
-                lam /= 2
-            else:
-                break
-            # a step within 2^-26 of each unknown's scale leaves an error at the double floor
-            if best == 0 or all(abs(lam * s) <= 2 ** -26 * v
-                                for s, v in zip(step, (x[0], x[1], scale, scale))):
-                break
-    except (ArithmeticError, ValueError):
-        return None
-    return [mp.mpf(v) for v in x] if best <= 1e-10 * scale else None
+        p = [float(v) for v in seed]
+        gap = p[3] - p[2]
+        u = [_double_zero(*((p[1], p[0], -gap) if k else (p[0], p[1], gap)), lo, hi)
+             for k, lo, hi in _brackets(p, math.sqrt)]
+        rows = _map_rows([float(t) for t in targets], None if c is None else float(c))
+        x = _newton(rows, p + u, scale=float(scale))[0]
+    except (SolveFailure, ArithmeticError):
+        x = list(seed) + [w - seed[2 + k] for k, w in zip((0, 0, 1, 1), _critical_points(seed, ctx))]
+    x, resid = _newton(_map_rows(targets, c), x, ctx, scale)
+    params, u = tuple(x[:4]), x[4:]
+    B1, B2 = params[2:]
+    if c is not None:
+        u[1] = c * (B2 - B1)
+    _brackets(params, mp.sqrt, ctx.solve_tolerance * max(1, abs(B1), abs(B2)))
+    return params, tuple(B + v for B, v in zip((B1, B1, B2, B2), u)), resid
 
 
 def _double_solve(M, b):
@@ -371,22 +378,14 @@ def _default_seed(branch_points):
 def chi_solve(branch_points, ctx):
     """Map parameters (A1, A2, B1, B2) whose critical values hit the branch points.
 
-    One Newton solve in all four unknowns from interval-based seeds, solved
-    in doubles first and polished at context precision.
+    One ``_map_solve`` from interval-based seeds.
     Returns (params, w_crit, residual).
     """
     with ctx.workprec():
         bp = tuple(mp.mpf(v) for v in branch_points)
         if not all(x < y for x, y in zip(bp, bp[1:])):
             raise SolveFailure("branch points must be strictly increasing")
-
-        x0 = _default_seed(bp)
-        x0 = _double_map_solve(x0, bp) or x0
-        x, resid, w_crit = _newton(lambda y: _chi_residual_rows(y, bp, ctx), x0,
-                                   ctx, validator=lambda y: y[0] > 0 and y[1] > 0 and y[2] < y[3])
-        if resid > ctx.solve_tolerance * max(1, max(abs(v) for v in bp)):
-            raise SolveFailure(f"residual {mp.nstr(resid, 5)} above tolerance")
-        return tuple(x), w_crit, resid
+        return _map_solve(_default_seed(bp), bp, ctx)
 
 
 _FULL_MAP_CACHE = {}
@@ -448,15 +447,14 @@ SMALL_C_SEED_FRACTION = 0.25
 
 
 def _pushed_left_solve(geometry, c, c_star, ctx):
-    """Newton on (A1, A2, B1, B2) in the pushed regime; returns (params, residual, w_crit).
+    """The map solve in the pushed regime; returns (params, w_crit, residual).
 
     Three critical values target (alpha1, alpha2, beta2). The mass condition
     puts the h-zero w* = B1 + c (B2 - B1) on the critical point w2, where
     R'(w2) = 0 reads A1/c^2 + A2/(1 - c)^2 = (B2 - B1)^2; its row is that
     equation divided by (B2 - B1)^2. The pushed endpoint is beta = R(w2).
     For c < c*/4 the seed follows the small-c law A1 ~ (c |w2(alpha1)|)^2;
-    otherwise it is the full-geometry map. The solve runs in doubles from
-    that seed first and is polished at context precision.
+    otherwise it is the full-geometry map.
     """
     g = geometry
     if c < SMALL_C_SEED_FRACTION * c_star:
@@ -465,19 +463,7 @@ def _pushed_left_solve(geometry, c, c_star, ctx):
         x0 = [(c * W) ** 2, c0.A2, c0.B1, c0.B2]
     else:
         x0 = _full_map(g, ctx)[0]
-
-    x0 = _double_map_solve(x0, g.as_tuple(), c) or x0
-
-    def F(x):
-        # rows 0, 2, 3 hit alpha1, alpha2, beta2; row 1 becomes the mass row
-        rows, J, w_crit = _chi_residual_rows(x, g.as_tuple(), ctx)
-        rows[1], J[1] = _mass_row(x, c)
-        return rows, J, w_crit
-
-    x, resid, w_crit = _newton(F, x0, ctx, validator=lambda y: y[0] > 0 and y[1] > 0 and y[2] < y[3])
-    if resid > ctx.solve_tolerance * _scale_of(x):
-        raise SolveFailure(f"pushed-regime residual {mp.nstr(resid, 5)}")
-    return tuple(x), resid, w_crit
+    return _map_solve(x0, g.as_tuple(), ctx, c)
 
 
 def _mass_row(x, c):
@@ -531,7 +517,7 @@ def curve(geometry, c, ctx, with_dc=True):
                              w_crit=w_crit, w_star=w_star, z_c=z_c,
                              solve_residual=resid, geometry=g)
         if c < th.c_star:
-            params, resid, w_crit = _pushed_left_solve(g, c, th.c_star, ctx)
+            params, w_crit, resid = _pushed_left_solve(g, c, th.c_star, ctx)
             # R'(w2) = 0: beta is second order in the error of w2
             beta = _R(w_crit[1], params)
             if not (beta <= g.beta1 * (1 + ctx.solve_tolerance) + ctx.solve_tolerance):

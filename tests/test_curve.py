@@ -186,8 +186,9 @@ def test_critical_points_product_at_B1_is_the_residue_form(bits, log_a1, log_a2,
     (192, 0, 0, 10 ** 12),  # |B_k| >> sqrt(A_k): absolute doubles cannot resolve w - B_k
 ])
 def test_critical_points_where_doubles_cannot_seed(bits, log_a1, log_a2, b1):
-    # the double seeds are optional: where they over- or underflow, the
-    # search starts at the bracket midpoints and finds the same zeros
+    # the bracketed search, the map solve's start where doubles fail, needs
+    # no doubles: where the parameters over- or underflow as doubles, or
+    # absolute doubles cannot resolve w - B_k, it finds the same zeros
     ctx = PrecisionContext(bits)
     with ctx.workprec():
         A1, A2 = mp.mpf(10) ** log_a1, mp.mpf(10) ** log_a2
@@ -202,33 +203,64 @@ def test_critical_points_where_doubles_cannot_seed(bits, log_a1, log_a2, b1):
             assert abs(wj - s * ref) <= mp.mpf(2) ** (8 - bits) * scale
 
 
-def test_curve_critical_points_from_double_seeds_bound_the_work(monkeypatch):
-    # evaluations of R' in one cold curve() at 192 bits: 357 at c = 0.04 and
-    # 126 at c = 0.5 from the double seeds, against 826 and 270 from the
-    # bracket midpoints
+def _count_map_work(monkeypatch):
+    """Counts of the map solve's row evaluations in doubles and at context
+    precision, and of R' evaluations (the fallback's critical points)."""
     module = sys.modules["angelesco.curve"]
-    points = []
-    real_Rp = module._Rp
-    monkeypatch.setattr(module, "_Rp", lambda w, p: points.append(w) or real_Rp(w, p))
+    counts = {"double": 0, "mpf": 0, "Rp": 0}
+    real_rows, real_Rp = module._map_rows, module._Rp
+
+    def counting_rows(targets, c=None):
+        rows = real_rows(targets, c)
+
+        def count(x):
+            counts["double" if isinstance(x[0], float) else "mpf"] += 1
+            return rows(x)
+        return count
+
+    def counting_Rp(w, p):
+        counts["Rp"] += 1
+        return real_Rp(w, p)
+
+    monkeypatch.setattr(module, "_map_rows", counting_rows)
+    monkeypatch.setattr(module, "_Rp", counting_Rp)
+    return counts
+
+
+def _fail_in_doubles(*args):
+    raise SolveFailure("doubles cannot resolve the bracket")
+
+
+def test_curve_critical_points_from_double_seeds_bound_the_work(monkeypatch):
+    # one cold curve() at 192 bits, where the critical points are unknowns of
+    # the map Newton: no R' evaluation when doubles succeed, and 11 row
+    # evaluations in doubles and 6 at 192 bits at c = 0.04 (4 and 3 at
+    # c = 0.5); where doubles fail, the critical points of the seeds take
+    # 88 evaluations of R' and the rows 15 at 192 bits (44 and 6)
+    module = sys.modules["angelesco.curve"]
+    counts = _count_map_work(monkeypatch)
     ctx = PrecisionContext(192)
-    for c, bound in (("0.04", 450), ("0.5", 160)):
+    bounds = {("0.04", False): {"double": 14, "mpf": 6, "Rp": 0},
+              ("0.5", False): {"double": 5, "mpf": 3, "Rp": 0},
+              ("0.04", True): {"double": 0, "mpf": 18, "Rp": 110},
+              ("0.5", True): {"double": 0, "mpf": 8, "Rp": 55}}
+    for (c, fallback), bound in bounds.items():
+        if fallback:
+            monkeypatch.setattr(module, "_double_zero", _fail_in_doubles)
         monkeypatch.setattr(module, "_FULL_MAP_CACHE", {})
-        points.clear()
+        counts.update(double=0, mpf=0, Rp=0)
         curve(G0, c, ctx)
-        assert len(points) <= bound
+        assert all(counts[k] <= bound[k] for k in bound), (c, fallback, counts)
+        assert counts["Rp"] > 0 if fallback else counts["double"] > 0
 
 
 def test_chi_solve_polishes_a_double_precision_solve(monkeypatch):
     # the map Newton converges in doubles first; at 192 bits the context-
     # precision Newton evaluates its start and two quadratic steps (6 from
     # the interval seed)
-    module = sys.modules["angelesco.curve"]
-    calls = []
-    real_rows = module._chi_residual_rows
-    monkeypatch.setattr(module, "_chi_residual_rows",
-                        lambda *args: calls.append(args) or real_rows(*args))
+    counts = _count_map_work(monkeypatch)
     chi_solve(G0.as_tuple(), PrecisionContext(192))
-    assert len(calls) <= 3
+    assert counts["mpf"] <= 3
 
 
 def test_curve_refuses_poles_below_the_bracket_floor():
@@ -262,10 +294,10 @@ def test_full_map_solved_once_per_geometry_and_bits(monkeypatch):
 
 def test_newton_types_only_linear_algebra_failures():
     with pytest.raises(SolveFailure):
-        _newton(lambda x: ([x[0] - 1], [[0]], ()), [0], CTX)
+        _newton(lambda x: ([x[0] - 1], lambda solve: solve([[0]], [1 - x[0]])), [0], CTX)
     # an entry that cannot become an mpf is a programming error, not a failed solve
     with pytest.raises(TypeError):
-        _newton(lambda x: ([x[0] - 1], [[object()]], ()), [0], CTX)
+        _newton(lambda x: ([x[0] - 1], lambda solve: solve([[object()]], [1 - x[0]])), [0], CTX)
 
 
 def test_thresholds_symmetry_and_range(thresholds):
@@ -999,9 +1031,11 @@ def _curve_outcome(g, c, ctx):
 
 
 def _without_double_seed(g, c, ctx):
+    # doubles fail at the start, so the map Newton starts at context
+    # precision from the seed and its bracketed critical points
     module = sys.modules["angelesco.curve"]
     with pytest.MonkeyPatch.context() as mpatch:
-        mpatch.setattr(module, "_double_map_solve", lambda *args: None)
+        mpatch.setattr(module, "_double_zero", _fail_in_doubles)
         mpatch.setattr(module, "_FULL_MAP_CACHE", {})
         return _curve_outcome(g, c, ctx)
 
@@ -1011,8 +1045,9 @@ def _without_double_seed(g, c, ctx):
        regime=st.sampled_from([PUSHED_LEFT, MIDDLE, PUSHED_RIGHT]),
        frac=st.sampled_from(["1e-12", "1e-6", "0.01", "0.3", "0.5", "0.9"]))
 def test_double_seed_leaves_the_map_solves_unchanged(bits, geo, regime, frac):
-    # the context-precision Newton is the certificate: from the double seed
-    # or from the old starts it reaches the same solution, or the same refusal.
+    # the context-precision Newton is the certificate: from the double solve,
+    # or from the seed's bracketed critical points where doubles fail, it
+    # reaches the same solution, or the same refusal.
     # Values are held to the endpoints' scale too, the scale of the solve's
     # residual: on a geometry translated by 1e6, A1 from the old start sits
     # 3 units of 2^(20 - bits) off a 512-bit solve and A1 from the seed 0.004
@@ -1033,6 +1068,27 @@ def test_double_seed_keeps_the_bracket_floor_refusal():
     ctx = PrecisionContext(128)
     for outcome in (_curve_outcome(G0, "1e-40", ctx), _without_double_seed(G0, "1e-40", ctx)):
         assert outcome[0] is SolveFailure and "too degenerate" in outcome[1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(bits=st.sampled_from([128, 192, 512]), geo=GEOMETRIES,
+       regime=st.sampled_from([PUSHED_LEFT, MIDDLE, PUSHED_RIGHT]),
+       frac=st.sampled_from(["1e-12", "1e-6", "0.01", "0.3", "0.5", "0.9"]))
+def test_map_solve_critical_points_match_the_bracketed_search(bits, geo, regime, frac):
+    # the critical points are unknowns of the map Newton; the bracketed
+    # find_root on R' at the returned parameters is the independent route
+    g, ctx = Geometry(*geo), PrecisionContext(bits)
+    c = _c_in_regime(g, ctx, regime, frac)
+    try:
+        cd = curve(g, c, ctx, with_dc=False)
+    except AngelescoError:
+        return
+    with ctx.workprec():
+        w, B1, B2 = cd.w_crit, cd.B1, cd.B2
+        assert w[0] < B1 < w[1] < w[2] < B2 < w[3]
+        floor = mp.ldexp(max(1, abs(B1), abs(B2)), 8 - bits)
+        for wj, ref in zip(w, _critical_points(cd.params(), ctx)):
+            assert abs(wj - ref) <= floor
 
 
 @settings(max_examples=20, deadline=None)
@@ -1184,6 +1240,11 @@ def test_dc_oracle_matches_pushed_solve_near_one_half(bits, sign, exponent):
 @given(bits=st.sampled_from([128, 192]),
        log_l1=st.floats(-2, 2), log_l2=st.floats(-2, 2), log_gap=st.floats(-1.5, 0.7),
        frac=st.sampled_from(["1e-5", "0.2", "0.25", "0.3", "0.6", "0.95"]))
+# [-959.3116, -1] u [-0.6109, 431.0001] at 0.8 c*, from the full-map seed: every
+# full step moves w3 off its critical point, and only the corrector of the
+# critical points at the trial point lets Newton take it
+@example(bits=128, log_l1=2.981506745150751, log_l2=2.6350925045429032,
+         log_gap=-0.4099387691962575, frac="0.8")
 def test_pushed_solve_matches_twice_the_bits(bits, log_l1, log_l2, log_gap, frac):
     a2 = -1 + 10 ** log_gap
     g = Geometry(f"{-1 - 10 ** log_l1:.4f}", "-1", f"{a2:.4f}", f"{a2 + 10 ** log_l2:.4f}")
