@@ -641,99 +641,224 @@ def dc_oracle(geometry, c, ctx):
 # Sheet evaluation of the inverse map and of h
 # ---------------------------------------------------------------------------
 
-def _cubic_coefficients(p, z):
-    """(c2, c1, c0) of the monic cubic whose roots are the preimages of z under R."""
-    A1, A2, B1, B2 = p
-    return (-(B1 + B2 + z), B1 * B2 + z * (B1 + B2) + A1 + A2, -z * B1 * B2 - A1 * B2 - A2 * B1)
-
-
 def _double_roots(c2, c1, c0):
-    """Roots of w^3 + c2 w^2 + c1 w + c0 in double precision, as Python complex.
+    """Roots of w^3 + c2 w^2 + c1 w + c0 in complex doubles, in closed form.
 
-    Real coefficients give real roots with imaginary part exactly 0. numpy
-    loads here, on the first sheet evaluation, not with the package. The
-    polished roots' last bits follow the seeds' last bits (moving the real
-    part of each seed by one ulp moves two thirds of the labels of a sweep
-    of chi_eval), so a seed route other than np.roots would move written
-    noise digits.
+    In w = s t, s a power of two that brings every coefficient to modulus at
+    most 1 (nothing overflows up to |z| = 1e300), with Q = (a^2 - 3b)/9 and
+    R = (2a^3 - 9ab + 27c)/54 of t^3 + a t^2 + b t + c: the trigonometric
+    form for real coefficients with R^2 < Q^3, Cardano otherwise. Real
+    coefficients give real roots with imaginary part exactly 0. The seeds
+    only pick the root that is polished and start its Newton, which ends
+    where the fixed-point arithmetic, 24 bits below the context precision,
+    resolves its step; another seed route (np.roots) moves a root by a few
+    units of that arithmetic (at most 2^12, a 2^-12 ulp of 1, on the seed
+    route test's points), so mostly a part near 0.
     """
-    import numpy as np
+    coeffs = [complex(v) for v in (c2, c1, c0)]
+    size = max(abs(coeffs[0]), abs(coeffs[1]) ** 0.5, abs(coeffs[2]) ** (1 / 3))
+    s = math.ldexp(1.0, math.frexp(size)[1]) if size else 1.0
+    a, b, c = coeffs[0] / s, coeffs[1] / s / s, coeffs[2] / s / s / s
+    Q = (a * a - 3 * b) / 9
+    R = (2 * a * a * a - 9 * a * b + 27 * c) / 54
+    if not any(v.imag for v in (a, b, c)):
+        a, Q, R = a.real, Q.real, R.real
+        if R * R < Q * Q * Q:
+            theta = math.acos(max(-1.0, min(1.0, R / math.sqrt(Q * Q * Q))))
+            return [complex(s * (-2 * math.sqrt(Q) * math.cos((theta + 2 * math.pi * k) / 3)
+                                 - a / 3)) for k in range(3)]
+        A = -math.copysign((abs(R) + math.sqrt(R * R - Q * Q * Q)) ** (1 / 3), R)
+        B = Q / A if A else 0.0
+        re, im = s * (-(A + B) / 2 - a / 3), s * math.sqrt(3) / 2 * (A - B)
+        return [complex(s * (A + B - a / 3)), complex(re, im), complex(re, -im)]
+    root = cmath.sqrt(R * R - Q * Q * Q)
+    if (R.conjugate() * root).real < 0:
+        root = -root
+    A = -(R + root) ** (1 / 3)
+    B = Q / A if A else 0j
+    mid, half = -(A + B) / 2 - a / 3, 0.5j * math.sqrt(3) * (A - B)
+    return [s * (A + B - a / 3), s * (mid + half), s * (mid - half)]
 
-    coeffs = [1.0, c2, c1, c0]
-    if not all(cmath.isfinite(v) for v in coeffs):
-        raise DomainError("cubic coefficients are not finite in double precision")
-    return [complex(r) for r in np.roots(coeffs)]
+
+def _fixed(x, wp):
+    """The mpf x in units of 2^-wp, rounded down."""
+    return mp.libmp.to_fixed(x._mpf_, wp)
 
 
-def _cubic_roots(curve_data, z, ctx):
-    """Roots of (w - z)(w - B1)(w - B2) + A1 (w - B2) + A2 (w - B1).
+def _rounded(w, wp):
+    """The fixed-point root w at the working precision, each part rounded once."""
+    x, y = w
+    re = mp.mpf((x, -wp))
+    return re if y is None else mp.mpc(re, mp.mpf((y, -wp)))
 
+
+def _cubic_roots(p, z, bits):
+    """Roots of (w - z)(w - B1)(w - B2) + A1 (w - B2) + A2 (w - B1), and wp.
+
+    p = (A1, A2, B1, B2) and z (an mpf for real z) go to integers in units
+    of 2^-wp, wp = bits + 24, never coarser than the absolute floor
+    2^-bits max(1, |coefficients|) of the residual check, and the
+    coefficients are formed from those integers with one truncation each.
     The double-precision seed farthest from the other two (a real one when z
-    is real) is polished by Newton at context precision; the other two roots
-    come from the deflated quadratic in cancellation-free form. For real z the
-    polish runs in real arithmetic, so a complex pair is an exact conjugate
-    pair. mp.polyroots is the last resort when a residual misses its target
-    (from |z| of about 1e7 on); for real z its roots are likewise returned as
-    real roots and at most one exact conjugate pair. Its extra precision,
-    bits/2 + 2 log2 of the largest coefficient, covers the spread between
-    the root near z and the two near the intervals, so that it converges at
-    large |z| (probed to 1e300 at 128 and 512 bits).
+    is real) is polished by Newton on the integers; the other two roots come
+    from the deflated quadratic in cancellation-free form. For real z every
+    imaginary part is exactly 0, so the real roots are real and a complex
+    pair is an exact conjugate pair. The roots are returned as fixed-point
+    pairs, (X, Y) for X + iY in units of 2^-wp, Y None for a real root.
+    mp.polyroots, on the same integer coefficients, is the last resort when
+    a residual misses its target (from |z| of about 1e15 on, where the
+    evaluation floor |z|^2 2^-wp of f at the root near z passes it); for
+    real z its roots are likewise returned as real roots and at most one
+    exact conjugate pair. Its extra precision, bits/2 + 2 log2 of the
+    largest coefficient, covers the spread between the root near z and the
+    two near the intervals, so that it converges at large |z| (probed to
+    1e300 at 128 and 512 bits).
     """
+    wp = bits + 24
+    one = 1 << wp
     real_z = not isinstance(z, mp.mpc)
-    c2, c1, c0 = _cubic_coefficients(curve_data.params(), z)
+    if not mp.isfinite(z):
+        raise DomainError("cubic coefficients are not finite in double precision")
+    A1, A2, B1, B2 = (_fixed(v, wp) for v in p)
+    zr, zi = (_fixed(z, wp), 0) if real_z else (_fixed(z.real, wp), _fixed(z.imag, wp))
+    s, P = B1 + B2, B1 * B2
+    c2 = -(s + zr), -zi
+    c1 = ((P + zr * s) >> wp) + A1 + A2, (zi * s) >> wp
+    c0 = -((zr * P + ((A1 * B2 + A2 * B1) << wp)) >> 2 * wp), -((zi * P) >> 2 * wp)
+
+    def mul(a, b):
+        return (a[0] * b[0] - a[1] * b[1]) >> wp, (a[0] * b[1] + a[1] * b[0]) >> wp
+
+    def div(a, b):
+        n = b[0] * b[0] + b[1] * b[1]
+        return ((a[0] * b[0] + a[1] * b[1]) << wp) // n, ((a[1] * b[0] - a[0] * b[1]) << wp) // n
 
     def f(w):
-        return ((w + c2) * w + c1) * w + c0
+        t = mul((w[0] + c2[0], w[1] + c2[1]), w)
+        t = mul((t[0] + c1[0], t[1] + c1[1]), w)
+        return t[0] + c0[0], t[1] + c0[1]
 
     def fp(w):
-        return (3 * w + 2 * c2) * w + c1
+        t = mul((3 * w[0] + 2 * c2[0], 3 * w[1] + 2 * c2[1]), w)
+        return t[0] + c1[0], t[1] + c1[1]
 
-    scale = max(mp.mpf(1), abs(c2), abs(c1), abs(c0))
-    target = mp.mpf(2) ** (24 - ctx.mantissa_bits) * scale
-    to_double = float if real_z else complex
-    seeds = _double_roots(*(to_double(c) for c in (c2, c1, c0)))
+    def norm(w):
+        return w[0] * w[0] + w[1] * w[1]
+
+    # seeds of the cubic in u = w - o about the middle o of the poles, whose
+    # coefficients f''(o)/2, f'(o), f(o) keep the roots' spread in doubles
+    o = (B1 + B2) >> 1
+    shifted = (c2[0] + 3 * o, c2[1]), fp((o, 0)), f((o, 0))
+    try:
+        doubles = [complex(x / one, y / one) for x, y in shifted]
+    except OverflowError:
+        raise DomainError("cubic coefficients are not finite in double precision") from None
+    seeds = _double_roots(*(d.real if real_z else d for d in doubles))
     dist = [min(abs(s - t) for t in seeds[:i] + seeds[i + 1:]) for i, s in enumerate(seeds)]
     candidates = [i for i in range(3) if seeds[i].imag == 0] if real_z else range(3)
     seed = seeds[max(candidates, key=dist.__getitem__)]
-    w = mp.mpf(seed.real) if real_z else mp.mpc(seed)
-    for _ in range(ctx.mantissa_bits // 10 + 8):
+    w = (o + _fixed(mp.mpf(seed.real), wp), 0 if real_z else _fixed(mp.mpf(seed.imag), wp))
+    for _ in range(bits // 10 + 8):
         d = fp(w)
-        if d == 0:
+        if d == (0, 0):
             break
-        dw = f(w) / d
-        w -= dw
-        if abs(dw) <= mp.mpf(2) ** (8 - ctx.mantissa_bits) * (1 + abs(w)):
+        dw = div(f(w), d)
+        w = w[0] - dw[0], w[1] - dw[1]
+        # |dw| <= 2^(8 - bits) (1 + |w|)
+        if norm(dw) << 2 * (bits - 8) <= (one + math.isqrt(norm(w))) ** 2:
             break
-    # deflate: w^2 + b w + cq is the cofactor of (w - root)
-    b = c2 + w
-    cq = c1 + w * b
-    disc = b * b - 4 * cq
-    if real_z and abs(disc) <= mp.mpf(2) ** (8 - ctx.mantissa_bits) * (b * b + 4 * abs(cq)):
-        # a discriminant inside its rounding error: a branch point's double root
-        pair = [-b / 2, -b / 2]
-    elif real_z and disc < 0:
-        half = mp.sqrt(-disc) / 2
-        pair = [mp.mpc(-b / 2, half), mp.mpc(-b / 2, -half)]
+    # deflate: w^2 + b w + cq is the cofactor of (w - root), cq and the
+    # discriminant b^2 - 4 cq held in units of 2^-2wp. From the top, b = c2 + w
+    # and cq = c1 + w b carry |w| times w's error; where w is the largest
+    # root, |w|^2 > |cq|, they come from the bottom, cq = -c0/w and
+    # b = (cq - c1)/w, which divide it by |w| (the two roots near the
+    # poles at large |z|)
+    if norm(w) ** 3 > norm(c0) << 4 * wp:
+        cq = div((-c0[0] << wp, -c0[1] << wp), w)
+        b = tuple(x >> wp for x in div((cq[0] - (c1[0] << wp), cq[1] - (c1[1] << wp)), w))
     else:
-        s = mp.sqrt(disc)
-        if mp.re(mp.conj(b) * s) < 0:
-            s = -s
-        q = -(b + s) / 2
-        pair = [q, cq / q] if q != 0 else [q, q]
-    roots = [w] + pair
-    if all(abs(f(r)) <= target for r in roots):
-        return roots
-    roots = mp.polyroots([mp.mpf(1), c2, c1, c0], maxsteps=200,
-                         extraprec=ctx.mantissa_bits // 2 + 2 * mp.mag(scale))
+        b = w[0] + c2[0], w[1] + c2[1]
+        cq = (c1[0] << wp) + w[0] * b[0] - w[1] * b[1], (c1[1] << wp) + w[0] * b[1] + w[1] * b[0]
+    disc = b[0] * b[0] - b[1] * b[1] - 4 * cq[0], 2 * b[0] * b[1] - 4 * cq[1]
+    if real_z and abs(disc[0]) << (bits - 8) <= b[0] * b[0] + 4 * abs(cq[0]):
+        # a discriminant inside its rounding error: a branch point's double root
+        pair = [(-b[0] >> 1, None)] * 2
+    elif real_z and disc[0] < 0:
+        half = math.isqrt(-disc[0]) >> 1
+        pair = [(-b[0] >> 1, half), (-b[0] >> 1, -half)]
+    else:
+        # the principal square root, its larger part by isqrt and the other
+        # by division, then the sign that adds it to b without cancellation
+        m = math.isqrt(norm(disc))
+        if disc[0] >= 0:
+            re = math.isqrt((m + disc[0]) >> 1)
+            sq = re, disc[1] // (2 * re) if re else 0
+        else:
+            im = math.isqrt((m - disc[0]) >> 1) * (1 if disc[1] >= 0 else -1)
+            sq = disc[1] // (2 * im), im
+        if b[0] * sq[0] + b[1] * sq[1] < 0:
+            sq = -sq[0], -sq[1]
+        q = -(b[0] + sq[0]) >> 1, -(b[1] + sq[1]) >> 1
+        pair = [q, div((cq[0] >> wp, cq[1] >> wp), q) if q != (0, 0) else q]
+        if real_z:
+            pair = [(x, None) for x, _ in pair]
+    roots = [(w[0], None if real_z else w[1])] + pair
+    # |f(r)| <= 2^(24 - bits) max(1, |c2|, |c1|, |c0|)
+    scale = max(one * one, norm(c2), norm(c1), norm(c0))
+    if all(norm(f((x, y or 0))) << 2 * (bits - 24) <= scale for x, y in roots):
+        return roots, wp
+    # polyroots on the same coefficients, exact, at wp bits and its extra precision
+    extra = bits // 2 + 2 * ((scale.bit_length() + 1) // 2 - wp)
+    with mp.workprec(wp + extra):
+        coeffs = [mp.mpf(1)] + [mp.mpf((x, -wp)) if real_z else mp.mpc((x, -wp), (y, -wp))
+                                for x, y in (c2, c1, c0)]
+    with mp.workprec(wp):
+        roots = mp.polyroots(coeffs, maxsteps=200, extraprec=extra)
     if not real_z:
-        return roots
+        return [(_fixed(mp.re(r), wp), _fixed(mp.im(r), wp)) for r in roots], wp
     # real coefficients: the root nearest the axis is real, and the other two
     # are real or an exact conjugate pair, as their spread says
     w, u, v = sorted(roots, key=lambda r: abs(mp.im(r)))
+    roots = [(_fixed(mp.re(r), wp), None) for r in (w, u, v)]
     if abs(mp.im(u - v)) > abs(mp.re(u - v)):
-        u = mp.mpc(mp.re(u), abs(mp.im(u)))
-        return [mp.re(w), u, mp.conj(u)]
-    return [mp.re(r) for r in (w, u, v)]
+        half = _fixed(abs(mp.im(u)), wp)
+        roots[1:] = [(roots[1][0], half), (roots[1][0], -half)]
+    return roots, wp
+
+
+def _sheet_labels(curve_data, z, bits):
+    """chi_eval's labels {sheet: root} as fixed-point roots, and wp."""
+    z = mp.mpc(z)
+    if z.imag < 0:
+        labels, wp = _sheet_labels(curve_data, mp.conj(z), bits)
+        return {k: (x, y and -y) for k, (x, y) in labels.items()}, wp
+    real_z = z.imag == 0
+    A1, A2, B1, B2 = p = curve_data.params()
+    roots, wp = _cubic_roots(p, z.real if real_z else z, bits)
+    one = 1 << wp
+    poles = [(A, (_fixed(B, wp), None)) for A, B in ((A1, B1), (A2, B2))]
+
+    def gap2(u, v=(0, None)):
+        return (u[0] - v[0]) ** 2 + ((u[1] or 0) - (v[1] or 0)) ** 2
+
+    out = {}
+    for k, (A, B) in zip((1, 2), poles):
+        if A == 0:
+            out[k] = roots.pop(min(range(len(roots)), key=lambda i: gap2(roots[i], B)))
+    # |u - v| <= 2^(4 - bits/2) max(1, |u|, |v|)
+    if not real_z and any(gap2(u, v) << 2 * (bits // 2 - 4) <= max(one * one, gap2(u), gap2(v))
+                          for i, u in enumerate(roots) for v in roots[:i]):
+        raise ClassificationError("two roots closer than the square-root rounding floor; "
+                                  "Im z is too small this near a branch point")
+    roots.sort(key=lambda w: w[1] or 0, reverse=True)
+    if (roots[0][1] or 0) == (roots[1][1] or 0):
+        # the least S(w), in units of 2^-wp; a root within 2^-wp of a pole
+        # has the largest
+        roots.sort(key=lambda w: sum((_fixed(A, wp) << 2 * wp) // max(1, gap2(w, B))
+                                     for A, B in poles if A))
+    out[0] = roots[0]
+    out.update(zip((k for k in (1, 2) if k not in out), sorted(roots[1:], key=lambda w: w[0])))
+    return out, wp
 
 
 def chi_eval(curve_data, z, ctx):
@@ -756,11 +881,14 @@ def chi_eval(curve_data, z, ctx):
       S < 1 on the line Re w = wm through the zero of R'' between the poles,
       so chi^(1) lies left of it and chi^(2) right of it.
 
-    On a cut the tie-break is exact: `_cubic_roots` returns an exact
-    conjugate pair at real z, however narrow the support. At a branch point
-    the merged root is labeled by whichever of its two computed copies the
-    rule picks; both are within the square-root rounding floor of it (the
-    cube root at the triple point of c = 0 or 1).
+    The roots and every comparison of the rule are exact operations on
+    `_cubic_roots`' fixed-point integers, 24 bits below the context
+    precision; each part of each value is rounded to the context precision
+    once, at the end. On a cut the tie-break is exact: `_cubic_roots`
+    returns an exact conjugate pair at real z, however narrow the support.
+    At a branch point the merged root is labeled by whichever of its two
+    computed copies the rule picks; both are within the square-root
+    rounding floor of it (the cube root at the triple point of c = 0 or 1).
 
     Domain: every z whose cubic has finite coefficients in double precision
     (DomainError otherwise); every real z is labeled. ClassificationError is
@@ -773,36 +901,17 @@ def chi_eval(curve_data, z, ctx):
     near the intervals.
     """
     with ctx.workprec():
-        z = mp.mpc(z)
-        if z.imag < 0:
-            labels = chi_eval(curve_data, mp.conj(z), ctx)
-            return {k: mp.conj(w) for k, w in labels.items()}
-        real_z = z.imag == 0
-        roots = _cubic_roots(curve_data, z.real if real_z else z, ctx)
-        A1, A2, B1, B2 = curve_data.params()
-        out = {}
-        for k, A, B in ((1, A1, B1), (2, A2, B2)):
-            if A == 0:
-                out[k] = roots.pop(min(range(len(roots)), key=lambda i: abs(roots[i] - B)))
-        if not real_z:
-            if any(abs(u - v) <= mp.ldexp(max(1, abs(u), abs(v)), 4 - ctx.mantissa_bits // 2)
-                   for i, u in enumerate(roots) for v in roots[:i]):
-                raise ClassificationError("two roots closer than the square-root rounding floor; "
-                                          "Im z is too small this near a branch point")
-        roots.sort(key=mp.im, reverse=True)
-        if mp.im(roots[0]) == mp.im(roots[1]):
-            roots.sort(key=lambda w: sum(A / abs(w - B) ** 2
-                                         for A, B in ((A1, B1), (A2, B2)) if A))
-        out[0] = roots[0]
-        out.update(zip((k for k in (1, 2) if k not in out), sorted(roots[1:], key=mp.re)))
-        return out
+        labels, wp = _sheet_labels(curve_data, z, ctx.mantissa_bits)
+        return {k: _rounded(w, wp) for k, w in labels.items()}
 
 
-def h_eval_w(curve_data, w):
-    """h as a function on the w-plane, with exact cancellation of the pinned zero.
+def h_eval_w(curve_data, w, wp):
+    """h at the fixed-point root w (units of 2^-wp), with exact cancellation of the pinned zero.
 
-    DomainError when w is within 2^(16-prec) max(1, |w_j|) of a critical point
-    w_j left in the denominator: a pole of h, over a hard edge.
+    Numerator and denominator are exact products of integers; each part of
+    their quotient is rounded once, to the working precision. DomainError
+    when w is within 2^(16-prec) max(1, |w_j|) of a critical point w_j left
+    in the denominator: a pole of h, over a hard edge.
     """
     num = [curve_data.B1, curve_data.B2, curve_data.w_star]
     den = list(curve_data.w_crit)
@@ -812,15 +921,23 @@ def h_eval_w(curve_data, w):
         if wn in den:
             num.remove(wn)
             den.remove(wn)
-    val = mp.mpc(1)
+    x, y = w[0], w[1] or 0
+    nr, ni = 1, 0
     for wn in num:
-        val *= w - wn
+        d = x - _fixed(wn, wp)
+        nr, ni = nr * d - ni * y, nr * y + ni * d
+    dr, di = 1, 0
     for wd in den:
+        W = _fixed(wd, wp)
+        d = x - W
         # z one ulp or more off a branch point puts w about sqrt(eps) from it
-        if abs(w - wd) <= mp.ldexp(max(1, abs(wd)), 16 - mp.mp.prec):
+        if (d * d + y * y) << 2 * (mp.mp.prec - 16) <= max(1 << 2 * wp, W * W):
             raise DomainError("w is a critical point of R, a pole of h (a hard edge)")
-        val /= w - wd
-    return val
+        dr, di = dr * d - di * y, dr * y + di * d
+    # h = N conj(D) / |D|^2, N in units of 2^-(wp len(num)) and D of 2^-(wp len(den))
+    shift, q = wp * (len(den) - len(num)), dr * dr + di * di
+    return mp.mpc(mp.fdiv((nr * dr + ni * di) << shift, q),
+                  mp.fdiv((ni * dr - nr * di) << shift, q))
 
 
 def h_branch(curve_data, z, sheet, ctx):
@@ -828,14 +945,15 @@ def h_branch(curve_data, z, sheet, ctx):
 
     On the sheet of a collapsed support (A_sheet = 0, at c = 0 or 1) the
     measure mu_sheet is zero, so h^(sheet) = -C_{mu_sheet} is exactly 0.
+    chi^(sheet)(z) enters h as chi_eval's fixed-point root, before rounding.
     """
     if sheet not in (0, 1, 2):
         raise ValueError("sheet must be 0, 1, or 2")
     with ctx.workprec():
         if sheet and curve_data.params()[sheet - 1] == 0:
             return mp.mpc(0)
-        w = chi_eval(curve_data, z, ctx)[sheet]
-        return h_eval_w(curve_data, w)
+        labels, wp = _sheet_labels(curve_data, z, ctx.mantissa_bits)
+        return h_eval_w(curve_data, labels[sheet], wp)
 
 
 def upsilon(curve_data, i, z, sheet, ctx):

@@ -271,14 +271,12 @@ def sym_eig(S, want_vectors=False):
 # Root finding
 # ---------------------------------------------------------------------------
 
-def find_root(f, fp, lo, hi, ctx, tol=None, start=None):
+def find_root(f, fp, lo, hi, ctx, tol=None):
     """The zero of f in the sign-change bracket [lo, hi], by Newton with f'.
 
     The package's one bracketed zero finder. An exact zero at either end is
-    returned; no sign change raises BracketError. Newton starts at start when
-    it lies strictly inside the bracket (a caller's cheap estimate of the
-    zero, which can only save steps), and at the midpoint otherwise; a step
-    that would leave the bracket, or a zero f', bisects.
+    returned; no sign change raises BracketError. Newton starts at the
+    midpoint; a step that would leave the bracket, or a zero f', bisects.
     It stops once the step or the bracket is within tol (default: the solve
     tolerance scaled by the bracket), the step tested first: at the rounding
     floor x - dx rounds to x, no longer strictly inside the shrunken
@@ -296,7 +294,7 @@ def find_root(f, fp, lo, hi, ctx, tol=None, start=None):
         lo_positive = f_lo > 0
         if lo_positive == (f_hi > 0):
             raise BracketError("no sign change on bracket")
-        x = mp.mpf(start) if start is not None and lo < start < hi else (lo + hi) / 2
+        x = (lo + hi) / 2
         for _ in range(2 * ctx.mantissa_bits + 128):
             fx = f(x)
             if fx == 0:

@@ -283,12 +283,13 @@ def test_cli_import_loads_only_runtime_dependencies():
 
 def test_short_commands_leave_numpy_unloaded(tmp_path):
     # numpy is imported by the functions that build arrays (tree truncations and
-    # counts, sym_eig, energy_oracle) and by chi_eval's cubic seeds, which verify
-    # equilibrium and verify mfun reach; constants, nnrr, verify limits and verify
-    # marginal build none, and verify spectrum does
+    # counts, sym_eig, energy_oracle); constants, nnrr, verify limits, verify
+    # marginal, verify equilibrium and verify mfun build none (chi_eval's cubic
+    # seeds are in closed form), and verify spectrum does
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     runs = [["constants", "--c", "0.05"], ["constants", "--c", "0.5"], ["nnrr", "--nmax", "2"],
-            ["verify", "limits"], ["verify", "marginal"], ["verify", "spectrum", "--depth", "3"]]
+            ["verify", "limits"], ["verify", "marginal"], ["verify", "equilibrium"],
+            ["verify", "mfun"], ["verify", "spectrum", "--depth", "3"]]
     argvs = [argv + ["--bits", "128", "--out", str(tmp_path / f"out{i}")]
              for i, argv in enumerate(runs)]
     code = ("import json, sys; from angelesco.cli import main\n"
@@ -299,7 +300,7 @@ def test_short_commands_leave_numpy_unloaded(tmp_path):
                           text=True, env={**env, "PYTHONPATH": os.path.join(root, "src")},
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:-1] == ["0 False"] * 5 + ["0 True"]
+    assert proc.stdout.split("\n")[:-1] == ["0 False"] * 7 + ["0 True"]
 
 
 def test_verify_limits_small(capsys):
