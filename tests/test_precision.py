@@ -239,13 +239,31 @@ def _traced_root(f, fp, lo, hi, ctx, **kwargs):
     return r, points
 
 
-def test_find_root_newton_starts_at_the_midpoint():
-    # after the two end evaluations the first Newton point is the midpoint
+def test_find_root_start_off_the_open_bracket_is_the_midpoint_search():
+    # find_root takes no start: after the two end evaluations the first
+    # Newton point is always the midpoint, and a start argument is refused
     f, fp = (lambda x: x ** 3 - x - 1), (lambda x: 3 * x * x - 1)
     r, points = _traced_root(f, fp, 1, 2, CTX)
     assert points[:3] == [1, 2, mp.mpf("1.5")]
     with CTX.workprec():
         assert abs(f(r)) <= CTX.solve_tolerance * 4
+    for start in (None, 1, 2, mp.mpf(0), 3, -1.5, float("nan"), float("inf")):
+        with pytest.raises(TypeError):
+            find_root(f, fp, 1, 2, CTX, start=start)
+
+
+@pytest.mark.parametrize("start", [None, 1, 2, 1.5, 0.5, 7])
+def test_find_root_ends_and_refusals_do_not_depend_on_start(start):
+    # the ends and refusals need no start; passing one is a TypeError
+    def no_slope(x):
+        raise AssertionError("an exact zero at an end needs no Newton step")
+
+    assert find_root(lambda x: x - 1, no_slope, 1, 2, CTX) == 1
+    assert find_root(lambda x: x - 2, no_slope, 1, 2, CTX) == 2
+    with pytest.raises(BracketError):
+        find_root(lambda x: x * x + 1, lambda x: 2 * x, 1, 2, CTX)
+    with pytest.raises(TypeError):
+        find_root(lambda x: x - 1, no_slope, 1, 2, CTX, start=start)
 
 
 @pytest.mark.parametrize("f", [lambda x: x * x + 1, lambda x: -x * x - 1,
