@@ -252,7 +252,8 @@ class _PivotClasses:
     keyed vertex by vertex; ``on_lattice`` gets the same classes from the
     O(depth^2) nodes of an assembly's lattice. A model operator at depth 10
     has 21 classes for 2047 vertices; trees without repeated structure keep
-    one class per vertex.
+    one class per vertex. Classes with the same (weight^2, child) pair at a child
+    position share its quotient; on a lattice (p, 1) and (p, 2) share both pairs.
     """
 
     def __init__(self, matrix):
@@ -296,6 +297,8 @@ class _PivotClasses:
         import numpy as np
 
         depth = len(table[1]) - 1
+        if (1 << depth + 1) - 1 > np.iinfo(np.int64).max:
+            raise ShapeError(f"depth {depth} has more vertices than an int64 count holds")
         nodes = np.array([(q1 + (t == 1), level - 1 - q1 + (t == 2), t)
                           for level in range(depth, 0, -1) for q1 in range(level)
                           for t in (1, 2)] + [(0, 0, 0)], dtype=np.int64)
@@ -321,23 +324,27 @@ class _PivotClasses:
         for k, (_, ch) in enumerate(entries):
             height[k] = 1 + max((height[j] for _, j in ch), default=-1)
         order = np.argsort(height, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
+        rank = np.argsort(order)
 
         self.n = int(mult.sum())
         self._diag = np.array([entries[k][0] for k in order])
         self._mult = mult[order]
-        # per height, the classes [start, stop) and their j-th children as
-        # (class, weight^2, child) columns, j ascending
+        # per height, the classes [start, stop) and per child position: rows, pairs, row -> pair
         self._levels = []
         bounds = np.searchsorted(height[order], np.arange(height.max() + 2))
         for start, stop in zip(bounds[:-1], bounds[1:]):
             slots = {}
             for r in range(start, stop):
                 for j, (w, c) in enumerate(entries[order[r]][1]):
-                    slots.setdefault(j, []).append((r, w, rank[c]))
-            self._levels.append((start, stop, [tuple(map(np.array, zip(*slot)))
-                                               for slot in slots.values()]))
+                    slot, pairs = slots.setdefault(j, ([], {}))
+                    slot.append((r, pairs.setdefault((float(w), int(rank[c])), len(pairs))))
+            level = []
+            for slot, pairs in slots.values():
+                (rs, which), (w2, kids) = zip(*slot), zip(*pairs)
+                at = slice(rs[0], rs[-1] + 1) if rs[-1] - rs[0] == len(rs) - 1 else np.array(rs)
+                level.append((at, w2[0], kids[0], slice(None)) if len(pairs) == 1 else
+                             (at, np.array(w2)[:, None], np.array(kids), np.array(which)))
+            self._levels.append((start, stop, level))
 
         radius = np.zeros(len(diag))
         start = np.flatnonzero(np.diff(rows, prepend=-1))
@@ -350,46 +357,49 @@ class _PivotClasses:
         return self
 
     def count_below(self, xs):
-        """Number of eigenvalues strictly below each x: the negative pivots."""
+        """Number of eigenvalues strictly below each x: the negative pivots. Each level
+        subtracts in place one quotient per distinct (weight^2, child) pair (a lone pair
+        reads the child's row as a view), then sets its exact zero pivots to _TINY_PIVOT."""
         import numpy as np
 
         xs = np.asarray(xs, dtype=float)
         out = np.empty(len(xs), dtype=np.int64)
         block = max(1, _COUNT_BLOCK // len(self._diag))
         for s in range(0, len(xs), block):
-            x = xs[s:s + block]
-            piv = self._diag[:, None] - x[None, :]
-            safe = np.empty_like(piv)
+            piv = self._diag[:, None] - xs[None, s:s + block]
             # a subnormal child pivot sends its parent's to -inf: still negative
             with np.errstate(over="ignore"):
                 for start, stop, slots in self._levels:
-                    for rows, w2, kids in slots:
-                        piv[rows] -= w2[:, None] / safe[kids]
+                    for rows, w2, kids, which in slots:
+                        piv[rows] -= (w2 / piv[kids])[which]
                     level = piv[start:stop]
-                    safe[start:stop] = np.where(level == 0, _TINY_PIVOT, level)
+                    level[level == 0] = _TINY_PIVOT
             out[s:s + block] = self._mult @ (piv < 0)
         return out
 
     def eigenvalues(self):
         """All n eigenvalues, ascending, by bisection on the count to about 2 eps ||M||.
 
-        The k-th eigenvalue (from 0) is bracketed by count(lo) <= k < count(hi);
-        brackets that share a midpoint share its count, so a cluster of equal
-        eigenvalues costs one count per step.
-        """
+        Distinct intervals carry their ends' counts and keep the halves that hold
+        eigenvalues; one that cannot shrink below tol gives its midpoint count(hi) -
+        count(lo) times: the brackets of bisecting for each k by count(lo) <= k < count(hi)."""
         import numpy as np
 
-        k = np.arange(self.n)
-        lo, hi = np.full(self.n, self.lower), np.full(self.n, self.upper)
-        while True:
+        lo, hi, below, above = (np.array([v]) for v in (self.lower, self.upper, 0, self.n))
+        done = []
+        while len(lo):
             mid = 0.5 * (lo + hi)
-            live = np.flatnonzero((hi - lo > self.tol) & (lo < mid) & (mid < hi))
-            if not len(live):
-                return np.sort(mid)
-            points, where = np.unique(mid[live], return_inverse=True)
-            above = self.count_below(points)[where] > k[live]
-            hi[live[above]] = mid[live[above]]
-            lo[live[~above]] = mid[live[~above]]
+            live = (hi - lo > self.tol) & (lo < mid) & (mid < hi)
+            if not live.all():
+                done.append(np.repeat(mid[~live], (above - below)[~live]))
+                lo, mid, hi, below, above = lo[live], mid[live], hi[live], below[live], above[live]
+            # k < count goes left (clipped for a non-monotone count); a split appends its right
+            count = np.clip(self.count_below(mid), below, above)
+            left = count > below
+            split = np.flatnonzero(left & (above > count))
+            lo, hi, below, above = (np.concatenate([np.where(left, a, b), b[split]]) for a, b in
+                                    ((lo, mid), (mid, hi), (below, count), (count, above)))
+        return np.sort(np.concatenate(done))
 
 
 def spectrum_probe(truncation, intervals, epsilon):

@@ -187,9 +187,26 @@ def _scipy(m):
     return sparse.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
 
 
+def _bracket_eigenvalues(classes):
+    """Bisection for each eigenvalue k alone, bracketed by count(lo) <= k < count(hi)."""
+    k = np.arange(classes.n)
+    lo, hi = np.full(classes.n, classes.lower), np.full(classes.n, classes.upper)
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = np.flatnonzero((hi - lo > classes.tol) & (lo < mid) & (mid < hi))
+        if not len(live):
+            return np.sort(mid)
+        points, where = np.unique(mid[live], return_inverse=True)
+        above = classes.count_below(points)[where] > k[live]
+        hi[live[above]] = mid[live[above]]
+        lo[live[~above]] = mid[live[~above]]
+
+
 def _check_kernel(M, xs):
     quotient = _PivotClasses(M)
     eigs = quotient.eigenvalues()
+    # bisecting distinct intervals repeats the per-eigenvalue brackets bit for bit
+    assert np.array_equal(eigs, _bracket_eigenvalues(quotient))
     dense = sym_eig(M.toarray())
     assert len(eigs) == M.shape[0] and np.all(np.diff(eigs) >= 0)
     assert np.max(np.abs(eigs - dense)) <= 64 * EPS * max(1.0, float(np.max(np.abs(dense))))
@@ -262,7 +279,73 @@ class _Frozen:
        xs=st.lists(st.floats(-4, 4), max_size=6))
 def test_pivot_classes_perturbed_source(depth, A, B, a_over, b_over, xs):
     source = PerturbedSource(_Frozen(A, B), a_overrides=a_over, b_overrides=b_over)
-    _check_kernel(_scipy(assemble_J(build_tree(depth), source).matrix), xs)
+    T = assemble_J(build_tree(depth), source)
+    _check_kernel(_scipy(T.matrix), xs)
+    assert np.array_equal(T.classes.eigenvalues(), _bracket_eigenvalues(T.classes))
+
+
+def _slot_forms(classes):
+    """(rows, pairs) forms of the slots: rows a "slice" or "gather", pairs "view" or "gather"."""
+    return {("slice" if isinstance(rows, slice) else "gather", "gather" if np.ndim(w2) else "view")
+            for _, _, slots in classes._levels for rows, w2, _, _ in slots}
+
+
+def test_pivot_classes_gather_a_slot_with_scattered_rows_and_two_pairs():
+    # heap vertices 0-14 without 7, 8 and 12: at height 1, vertices 6 and 4 have two
+    # children and 5 one, so the second-child slot has the rows of 6 and 4 only, with
+    # two (weight^2, child) pairs; the first-child slot repeats the pair of 14 at 10
+    diag = {0: 0.0, 1: 0.2, 2: -0.3, 3: 0.5, 4: -1.0, 5: 0.0, 6: 0.0,
+            9: 1.0, 10: 0.5, 11: -0.5, 13: 0.0, 14: 0.5}
+    weight = {1: 1.0, 2: 0.5, 3: 1.5, 4: 1.0, 5: 0.5, 6: 1.0,
+              9: 0.5, 10: 1.0, 11: 1.0, 13: 0.5, 14: 1.0}
+    label = {v: i for i, v in enumerate(sorted(diag))}
+    M = np.diag([diag[v] for v in sorted(diag)])
+    for v, w in weight.items():
+        M[label[v], label[(v - 1) // 2]] = M[label[(v - 1) // 2], label[v]] = w
+    M = sparse.csr_matrix(M)
+    assert _slot_forms(_PivotClasses(M)) == {("slice", "view"), ("slice", "gather"),
+                                             ("gather", "gather")}
+    _check_kernel(M, [-2.0, -0.5, 0.0, 0.3, 1.7])
+
+
+@pytest.mark.parametrize("endpoints", [("-2", "-1", "1", "2"), ("-2.3", "-1", "1", "1.9")])
+def test_lattice_eigenvalues_repeat_the_bracket_bisection(endpoints):
+    with CTX.workprec():
+        g = Geometry(*[mp.mpf(v) for v in endpoints])
+    T = assemble_L(build_tree(10), 0.5, 1, curve(g, "0.5", CTX))
+    assert _slot_forms(T.classes) == {("slice", "view")}
+    assert np.array_equal(T.classes.eigenvalues(), _bracket_eigenvalues(T.classes))
+
+
+def test_jacobi_depth11_eigenvalues_repeat_the_bracket_bisection(synthetic):
+    classes = assemble_J(build_tree(11), synthetic).classes
+    assert ("slice", "gather") in _slot_forms(classes)
+    assert np.array_equal(classes.eigenvalues(), _bracket_eigenvalues(classes))
+
+
+def test_zero_pivots_of_either_sign_stand_in_as_tiny_positive():
+    # a stored -0.0 diagonal leaves the pivot -0.0 at x = 0: as a divisor it would send
+    # the parent's pivot to +inf, so one eigenvalue below 0 would go uncounted
+    path = sparse.csr_matrix((np.array([0.0, 1.0, 1.0, -0.0]), np.array([0, 1, 0, 1]),
+                              np.array([0, 2, 4])), shape=(2, 2))
+    assert path.nnz == 4
+    _check_kernel(path, [0.0])
+    assert _PivotClasses(path).count_below([0.0]).tolist() == [1]
+    for depth in (1, 4):
+        T = assemble_J(build_tree(depth), _Frozen((1.0, 0.25), (-0.0, -0.0)))
+        assert np.signbit(T.table[0]) and np.signbit(T.classes._diag).all()
+        # the CSR matrix stores no zeros, so there the per-vertex pivots are +0.0
+        assert np.array_equal(T.classes.count_below([0.0]), _vertex_counts(_scipy(T.matrix), [0.0]))
+
+
+def test_multiplicities_refuse_depths_past_int64(cd_half):
+    frozen = _model_source(cd_half)
+    for assemble in (lambda t: assemble_L(t, 0.5, 1, cd_half), lambda t: assemble_J(t, frozen)):
+        with pytest.raises(ShapeError):
+            assemble(SimpleNamespace(depth=63))
+        classes = assemble(SimpleNamespace(depth=62)).classes
+        assert classes.n == 2 ** 63 - 1
+        assert classes.count_below([classes.upper + 1]).tolist() == [2 ** 63 - 1]
 
 
 def test_pivot_classes_merge_and_reject_non_trees(cd_half):
