@@ -20,7 +20,6 @@ from .curve import (
     energy_oracle,
     equilibrium,
     h_branch,
-    upsilon,
 )
 from .mops import (
     AngelescoSystem,
@@ -45,7 +44,6 @@ from .tree import (
     build_tree,
     m_closed,
     m_recursion,
-    rlimit_check,
     spectrum_probe,
 )
 
@@ -80,11 +78,9 @@ __all__ = [
     "moments",
     "ratio_report",
     "reference_geometry",
-    "rlimit_check",
     "s_x0",
     "spectrum_probe",
     "szego_rho",
     "type1_mop",
     "type2_mop",
-    "upsilon",
 ]

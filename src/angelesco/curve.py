@@ -27,8 +27,6 @@ from .errors import (
     DomainError,
     InternalInconsistency,
     RegimeError,
-    ShapeError,
-    SingularSystem,
     SolveFailure,
 )
 from .precision import PrecisionContext, find_root, gauss_legendre
@@ -203,26 +201,20 @@ def _newton(rows, x0, ctx=None, scale=1):
     """Damped Newton on rows(x) = (residuals, step), in doubles when ctx is None and at
     ctx's precision otherwise; returns (x, largest residual) of the accepted iterate.
 
-    step(solve) is the Newton step at x, given the arithmetic's linear
-    solver solve(J, b). It is halved at most 60 times until rows succeed,
-    finite, with a smaller largest residual (or one below the solve
-    tolerance). A trial point that fails that test gets one more chance,
-    corrected by step(solve) with a solve that returns zeros: the unknowns
-    that the step eliminates, moved by their own Newton step there. At most
-    80 steps, and none once the residual is within 2^8 roundings of scale,
-    2^4 in doubles: a polish at context precision squares what doubles
-    leave. SolveFailure when the rows fail at x0, when a linear solve fails,
-    or when the residual ends above the solve tolerance times scale.
+    step(solve) is the Newton step at x, given a linear solver solve(J, b);
+    both arithmetics solve by ``_eliminate``. It is halved at most 60 times
+    until rows succeed, finite, with a smaller largest residual (or one
+    below the solve tolerance). A trial point that fails that test gets one
+    more chance, corrected by step(solve) with a solve that returns zeros:
+    the unknowns that the step eliminates, moved by their own Newton step
+    there. At most 80 steps, and none once the residual is within 2^8
+    roundings of scale, 2^4 in doubles: a polish at context precision
+    squares what doubles leave. SolveFailure when the rows fail at x0, when
+    a linear solve meets a zero pivot, or when the residual ends above the
+    solve tolerance times scale; an entry that is not a number is a
+    TypeError, in either arithmetic.
     """
-    from .precision import solve_dense
-
-    if ctx is None:
-        num, bits, margin, solve = float, 53, 4, _double_solve
-    else:
-        num, bits, margin = mp.mpf, ctx.mantissa_bits, 8
-
-        def solve(J, b):
-            return solve_dense(J, b, ctx)[0]
+    num, bits, margin = (float, 53, 4) if ctx is None else (mp.mpf, ctx.mantissa_bits, 8)
 
     def trial(xn):
         # rows at xn and their largest residual, or None where they fail or are
@@ -241,8 +233,8 @@ def _newton(rows, x0, ctx=None, scale=1):
     best, step_at = start
     for _ in range(80):
         try:
-            step = step_at(solve)
-        except (SingularSystem, ShapeError, ZeroDivisionError) as exc:
+            step = step_at(_eliminate)
+        except ZeroDivisionError as exc:
             raise SolveFailure(f"Newton linear solve failed: {exc}") from exc
         lam = num(1)
         for _ in range(60):
@@ -349,8 +341,8 @@ def _map_solve(seed, targets, ctx, c=None):
     return params, tuple(B + v for B, v in zip((B1, B1, B2, B2), u)), resid
 
 
-def _double_solve(M, b):
-    """M y = b by Gaussian elimination with partial pivoting, in doubles."""
+def _eliminate(M, b):
+    """M y = b by Gaussian elimination with partial pivoting, in the entries' arithmetic."""
     n = len(b)
     M = [row + [v] for row, v in zip(M, b)]
     for i in range(n):
@@ -954,17 +946,6 @@ def h_branch(curve_data, z, sheet, ctx):
             return mp.mpc(0)
         labels, wp = _sheet_labels(curve_data, z, ctx.mantissa_bits)
         return h_eval_w(curve_data, labels[sheet], wp)
-
-
-def upsilon(curve_data, i, z, sheet, ctx):
-    """A_i / (chi^(sheet)(z) - B_i)."""
-    if i not in (1, 2):
-        raise ValueError("i must be 1 or 2")
-    with ctx.workprec():
-        w = chi_eval(curve_data, z, ctx)[sheet]
-        A = curve_data.A1 if i == 1 else curve_data.A2
-        B = curve_data.B1 if i == 1 else curve_data.B2
-        return A / (w - B)
 
 
 # ---------------------------------------------------------------------------

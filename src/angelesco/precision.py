@@ -242,7 +242,7 @@ def solve_dense(A, b, ctx, pivot_tol=None):
         return x, resid
 
 
-def sym_eig(S, want_vectors=False):
+def sym_eig(S):
     """Eigenvalues (ascending) of a dense symmetric machine-real matrix.
 
     The dense oracle for the tree spectra, which the package computes by
@@ -260,11 +260,7 @@ def sym_eig(S, want_vectors=False):
     scale = max(1.0, float(np.max(np.abs(S)))) if S.size else 1.0
     if S.size and float(np.max(np.abs(S - S.T))) > 1e-12 * scale:
         raise ShapeError("matrix is not symmetric within tolerance")
-    Ssym = 0.5 * (S + S.T)
-    if want_vectors:
-        vals, vecs = np.linalg.eigh(Ssym)
-        return vals, vecs
-    return np.linalg.eigvalsh(Ssym)
+    return np.linalg.eigvalsh(0.5 * (S + S.T))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ count the eigenvalues below x, and bisection on the count finds them all.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, pi
+from math import comb
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -494,12 +494,6 @@ def m_closed(curve_data, l, z, ctx):
     return m_closed_pair(curve_data, z, ctx).get(l)
 
 
-def m_spectral_density(curve_data, l, x, ctx):
-    """Im m_+(x)/pi on the support interiors (nonnegative)."""
-    val = m_closed(curve_data, l, x, ctx)
-    return val.imag / pi
-
-
 # ---------------------------------------------------------------------------
 # Degenerate-ray decoupling report
 # ---------------------------------------------------------------------------
@@ -566,72 +560,3 @@ def appendix_c0(geometry, ctx, depth=40):
         "n_outside": len(outside),
         "depth": depth,
     }
-
-
-# ---------------------------------------------------------------------------
-# Coefficient-field limits along escaping paths
-# ---------------------------------------------------------------------------
-
-def ray_path(c, length):
-    """Staircase of multi-indices from (1,1) tracking n1/|n| -> c."""
-    c = float(c)
-    path = [(1, 1)]
-    n1, n2 = 1, 1
-    for _ in range(length):
-        if n1 + 1 <= c * (n1 + n2 + 1):
-            n1 += 1
-        else:
-            n2 += 1
-        path.append((n1, n2))
-    return path
-
-
-def _ball_vertices(word, radius):
-    """Vertex words within tree distance radius of the given root-path word."""
-    seen = {word}
-    frontier = [word]
-    for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            neighbors = [w + (1,), w + (2,)]
-            if len(w) > 0:
-                neighbors.append(w[:-1])
-            for u in neighbors:
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return seen
-
-
-def _word_proj(word):
-    return (1 + sum(1 for t in word if t == 1), 1 + sum(1 for t in word if t == 2))
-
-
-def rlimit_check(source, c, radius, depth_schedule, target_constants):
-    """Sup deviation of the coefficient field from the frozen pattern.
-
-    Follows the staircase path for the ray parameter c; at each scheduled
-    depth compares the a/b entries on the tree ball of the given radius
-    against (A_{c,i}, B_{c,i}). target_constants is (A1, A2, B1, B2).
-    """
-    A1, A2, B1, B2 = [float(v) for v in target_constants]
-    A = (A1, A2)
-    B = (B1, B2)
-    schedule = sorted(depth_schedule)
-    path = ray_path(c, max(schedule) + radius + 1)
-    deviations = []
-    for d in schedule:
-        # word of the path vertex at distance d from the root
-        word = tuple(1 if path[k + 1][0] > path[k][0] else 2 for k in range(d))
-        worst = 0.0
-        for w in _ball_vertices(word, radius):
-            if len(w) == 0:
-                continue  # the root row has no own-type data
-            i = w[-1]
-            np_proj = _word_proj(w[:-1])
-            da = abs(source.a(np_proj, i) - A[i - 1])
-            db = abs(source.b(np_proj, i) - B[i - 1])
-            worst = max(worst, da, db)
-        deviations.append(worst)
-    return {"depths": schedule, "deviations": deviations, "max": max(deviations)}

@@ -22,7 +22,6 @@ from angelesco.curve import (
     energy_oracle,
     equilibrium,
     h_branch,
-    upsilon,
 )
 from angelesco.curve import (
     _critical_points,
@@ -293,11 +292,12 @@ def test_full_map_solved_once_per_geometry_and_bits(monkeypatch):
 
 
 def test_newton_types_only_linear_algebra_failures():
-    with pytest.raises(SolveFailure):
-        _newton(lambda x: ([x[0] - 1], lambda solve: solve([[0]], [1 - x[0]])), [0], CTX)
-    # an entry that cannot become an mpf is a programming error, not a failed solve
-    with pytest.raises(TypeError):
-        _newton(lambda x: ([x[0] - 1], lambda solve: solve([[object()]], [1 - x[0]])), [0], CTX)
+    for ctx in (None, CTX):  # doubles, then context precision
+        with pytest.raises(SolveFailure):
+            _newton(lambda x: ([x[0] - 1], lambda solve: solve([[0]], [1 - x[0]])), [0], ctx)
+        # an entry that is not a number is a programming error, not a failed solve
+        with pytest.raises(TypeError):
+            _newton(lambda x: ([x[0] - 1], lambda solve: solve([[object()]], [1 - x[0]])), [0], ctx)
 
 
 def test_thresholds_symmetry_and_range(thresholds):
@@ -518,18 +518,20 @@ def test_h_mass_residue_for_pushed(cd_small):
 
 
 def test_upsilon_properties(cd_half):
+    # Upsilon_i^(k)(z) = A_i / (chi^(k)(z) - B_i), read from the sheet values
     cd = cd_half
     with CTX.workprec():
         zz = mp.mpc("0.4", "0.9")
+        ws, ws_bar = chi_eval(cd, zz, CTX), chi_eval(cd, mp.conj(zz), CTX)
         prod = mp.mpf(1)
         for k in (0, 1, 2):
-            prod *= upsilon(cd, 1, zz, k, CTX)
+            prod *= cd.A1 / (ws[k] - cd.B1)
         assert abs(prod - cd.A1 ** 2 / (cd.B2 - cd.B1)) < mp.mpf("1e-50")
         z = mp.mpf(10) ** 8
-        assert abs(upsilon(cd, 1, z, 1, CTX) - z) < abs(cd.B1) + abs(cd.B2) + 1
-        assert abs(upsilon(cd, 1, z, 0, CTX) - cd.A1 / z) < mp.mpf(10) ** -14
-        u = upsilon(cd, 2, zz, 0, CTX)
-        ubar = upsilon(cd, 2, mp.conj(zz), 0, CTX)
+        w = chi_eval(cd, z, CTX)
+        assert abs(cd.A1 / (w[1] - cd.B1) - z) < abs(cd.B1) + abs(cd.B2) + 1
+        assert abs(cd.A1 / (w[0] - cd.B1) - cd.A1 / z) < mp.mpf(10) ** -14
+        u, ubar = cd.A2 / (ws[0] - cd.B2), cd.A2 / (ws_bar[0] - cd.B2)
         assert abs(u - mp.conj(ubar)) < mp.mpf("1e-90")
 
 

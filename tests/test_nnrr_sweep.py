@@ -1,5 +1,7 @@
 """The recurrence sweep: precision, the dense oracle, symmetries, certificates."""
 
+from decimal import Context, Decimal
+
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
@@ -96,19 +98,26 @@ def test_mirror_transposes_the_table():
                         lambda key, row: ((key[1], key[0]), (row[1], row[0], -row[3], -row[2])))
 
 
-def test_weight_scaling_leaves_the_table_unchanged():
-    bits = 192
+EXACT = Context(prec=64)  # enough digits that sums and products of drawn decimals are exact
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(-1, 1), st.floats(-1, 1), st.sampled_from(["const", "poly"]), st.floats(0.1, 1),
+       st.floats(-2, 2), st.floats(1e-3, 1e3), st.floats(-5, 5), st.sampled_from([128, 192]))
+def test_weight_scaling_leaves_the_table_unchanged(e1, e2, kind, u, v, factor, shift, bits):
+    # k w(x) has the orthogonal polynomials of w(x): a positive factor on a
+    # poly weight's coefficients (a const weight becomes the poly k), and
+    # exp(s + p(x)) = e^s exp(p(x)) on an exppoly's
     ctx = PrecisionContext(bits)
-    g = geometry(ASYM, bits)
-    base = AngelescoSystem(g, (WeightSpec("poly", POLY, 1), WeightSpec("const", interval=2)), ctx)
-    scaled = AngelescoSystem(g, (WeightSpec("poly", ("4.2", "2.4", "0.6"), 1),
-                                 WeightSpec("poly", ("2.5",), 2)), ctx)
-    assert_tables_agree(base.table(6), scaled.table(6), bits)
-    exp_base = AngelescoSystem(g, (WeightSpec("const", interval=1), WeightSpec("exppoly", EXPPOLY, 2)),
-                               ctx)
-    exp_scaled = AngelescoSystem(g, (WeightSpec("const", interval=1),
-                                     WeightSpec("exppoly", ("1.5", "0.3", "-0.1"), 2)), ctx)
-    assert_tables_agree(exp_base.table(4), exp_scaled.table(4), bits)
+    g = geometry((str(-1 - 10 ** e1), "-1", "1", str(1 + 10 ** e2)), bits)
+    poly, exppoly = random_weight(kind, 1, u, v), random_weight("exppoly", 2, u, -v)
+    scaled = WeightSpec("poly", tuple(EXACT.multiply(Decimal(c), Decimal(repr(factor)))
+                                      for c in poly.coeffs or ("1",)), 1)
+    shifted = WeightSpec("exppoly", (EXACT.add(Decimal(exppoly.coeffs[0]), Decimal(repr(shift))),
+                                     *exppoly.coeffs[1:]), 2)
+    tables = [AngelescoSystem(g, weights, ctx).table(5) for weights in ((poly, exppoly),
+                                                                         (scaled, shifted))]
+    assert_tables_agree(*tables, bits)
 
 
 # The mpf oracle: the sweep's three loops in mpf arithmetic at the context

@@ -28,9 +28,6 @@ from angelesco.tree import (
     build_tree,
     m_closed,
     m_recursion,
-    m_spectral_density,
-    ray_path,
-    rlimit_check,
     spectrum_probe,
 )
 
@@ -436,11 +433,14 @@ def test_m_closed_matches_recursion(cd_half):
 
 
 def test_m_density_and_mass(cd_half):
-    # nonnegative density on supports, vanishing outside, total mass 1
+    # the density Im m_+(x)/pi: nonnegative on supports, vanishing outside, total mass 1
+    def density(x):
+        return m_closed(cd_half, 1, x, CTX).imag / np.pi
+
     for x in (-1.8, -1.3, 1.3, 1.8):
-        assert m_spectral_density(cd_half, 1, x, CTX) > 0
+        assert density(x) > 0
     for x in (-2.6, 0.0, 2.7):
-        assert abs(m_spectral_density(cd_half, 1, x, CTX)) < 1e-12
+        assert abs(density(x)) < 1e-12
     total = 0.0
     for (a, b) in TARGETS:
         xs, ws = np.polynomial.legendre.leggauss(120)
@@ -448,7 +448,7 @@ def test_m_density_and_mass(cd_half):
         for edge, sgn in ((a, 1), (b, -1)):
             tmax = np.sqrt((b - a) / 2)
             ts = tmax * (xs + 1) / 2
-            vals = [m_spectral_density(cd_half, 1, float(edge + sgn * t * t), CTX) for t in ts]
+            vals = [density(float(edge + sgn * t * t)) for t in ts]
             total += float(sum(w * tmax * t * v for w, t, v in zip(ws, ts, vals)))
     assert abs(total - 1) < 1e-6
 
@@ -494,33 +494,6 @@ def test_appendix_pole_matches_findroot_at_twice_the_bits(endpoints):
             ref = mp.findroot(lambda z: (cd.B2 - z + w_map(z, g.alpha2, g.beta2)) / 2 + z - cd.B1,
                               bracket, solver="anderson")
             assert abs(pole - ref) <= mp.ldexp(max(1, abs(ref)), 8 - bits)
-
-
-def test_ray_path_and_rlimit_synthetic(synthetic):
-    path = ray_path(0.5, 20)
-    cs = [n1 / (n1 + n2) for n1, n2 in path]
-    assert abs(cs[-1] - 0.5) < 0.05
-    cd = curve(G0, "0.5", CTX)
-    consts = (cd.A1, cd.A2, cd.B1, cd.B2)
-    # the frozen field matches its own limit pattern exactly on the plateau
-    # where the constants do not depend on the ray parameter
-    rep = rlimit_check(synthetic, 0.5, 1, [4, 8, 12], consts)
-    assert rep["max"] < 1e-12
-
-
-def test_rlimit_computed_table():
-    system = AngelescoSystem(G0, lebesgue_weights(), CTX)
-    table = system.table(9)
-    src = ComputedSource(table)
-    cd = curve(G0, "0.5", CTX)
-    consts = (cd.A1, cd.A2, cd.B1, cd.B2)
-    rep = rlimit_check(src, 0.5, 1, [4, 6, 8], consts)
-    assert rep["deviations"][-1] < rep["deviations"][0]
-    # radius 0 reduces to pointwise coefficient convergence at the path vertex
-    rep0 = rlimit_check(src, 0.5, 0, [4, 8], consts)
-    assert rep0["deviations"][1] < rep0["deviations"][0]
-    with pytest.raises(SourceError):
-        src.a((40, 40), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +612,13 @@ def test_lattice_counts_at_depth_16_without_a_matrix(cd_half, monkeypatch):
     assert tree.n_vertices == 131071 and elapsed < 2.0
     for c in counts:
         assert c[0] == 0 and c[-1] == tree.n_vertices and np.all(np.diff(c) >= 0)
+
+
+def test_computed_source_refuses_missing_index(computed):
+    assert computed.a((12, 12), 1) > 0
+    for read in (computed.a, computed.b):
+        with pytest.raises(SourceError):
+            read((40, 40), 1)
 
 
 def test_computed_operator_essential_spectrum(computed):
