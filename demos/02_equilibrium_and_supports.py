@@ -35,7 +35,7 @@ for c in ("0.02", "0.05", "0.2", "0.5"):
         dc_str = mp.nstr(beta_dc, 10)
     except RegimeError:
         dc_str = "(full support)"
-    res = energy_oracle(g, float(mp.mpf(c)), n_particles=300, iterations=1500)
+    res = energy_oracle(g, float(mp.mpf(c)), n_particles=300)
     print(f"{c:>6} {mp.nstr(cd.beta_c1, 10):>14} {dc_str:>14} "
           f"{res['beta_c1']:>13.6f} {cd.regime:>12}")
 

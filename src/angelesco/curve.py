@@ -1080,16 +1080,17 @@ def equilibrium(curve_data, ctx):
 # Discrete-charge energy oracle (machine precision)
 # ---------------------------------------------------------------------------
 
-def energy_oracle(geometry, c, n_particles=400, iterations=2000):
+def energy_oracle(geometry, c, n_particles=400):
     """Best-effort endpoints by minimizing the discrete interaction energy.
 
     round(c N) charges of total mass c live on the first interval, the rest
     on the second; the energy is the continuum functional with self-pairs
-    excluded, which is convex in the ordered positions, so the monotone
-    descent below reaches the global minimizer. Steps are preconditioned by
-    the diagonal of the Hessian (edge particles of the large cloud are many
-    orders stiffer than a small pushed cloud) with backtracking keeping the
-    energy strictly decreasing.
+    excluded, which is convex in the ordered positions. It is minimized by
+    projected Newton (Bertsekas 1982): the Hessian is a weighted graph
+    Laplacian, regularized by 1e-10 of its mean diagonal against the
+    translation mode; particles on a bound whose gradient points out of the
+    box are held there, and step halving keeps the energy strictly
+    decreasing until no halving decreases it.
 
     Endpoints are read off the extreme particles and, since the extreme
     particle of a soft (pushed) edge sits O(n_i^{-2/3}) inside the support,
@@ -1114,52 +1115,50 @@ def energy_oracle(geometry, c, n_particles=400, iterations=2000):
     x = a1 + w1 / 2 + w1 / 2 * np.cos(np.pi * (1 - q1))
     y = (a2 + b2) / 2 + (b2 - a2) / 2 * np.cos(np.pi * (1 - q2))
 
-    def energy_grad(x, y):
-        dx = x[:, None] - x[None, :]
-        np.fill_diagonal(dx, 1.0)
-        dy = y[:, None] - y[None, :]
-        np.fill_diagonal(dy, 1.0)
-        dxy = x[:, None] - y[None, :]
-        if (np.abs(dx) < 1e-300).any() or (np.abs(dy) < 1e-300).any() or (np.abs(dxy) < 1e-300).any():
-            return np.inf, None, None, None, None
-        lx = np.log(np.abs(dx))
-        np.fill_diagonal(lx, 0.0)
-        ly = np.log(np.abs(dy))
-        np.fill_diagonal(ly, 0.0)
-        e = (-2 * u * u * lx.sum() - 2 * v * v * ly.sum()
-             - 2 * u * v * np.log(np.abs(dxy)).sum())
-        ix = 1.0 / dx
-        np.fill_diagonal(ix, 0.0)
-        iy = 1.0 / dy
-        np.fill_diagonal(iy, 0.0)
-        ixy = 1.0 / dxy
-        gx = -4 * u * u * ix.sum(axis=1) - 2 * u * v * ixy.sum(axis=1)
-        gy = -4 * v * v * iy.sum(axis=1) + 2 * u * v * ixy.sum(axis=0)
-        hx = 4 * u * u * (ix * ix).sum(axis=1) + 2 * u * v * (ixy * ixy).sum(axis=1)
-        hy = 4 * v * v * (iy * iy).sum(axis=1) + 2 * u * v * (ixy * ixy).sum(axis=0)
-        return e, gx, gy, hx, hy
+    # the energy is -sum_{i != j} W_ij log|z_i - z_j| over the joint positions
+    # z, with W_ij = kappa m_i m_j, kappa = 2 within an interval and 1 across
+    side = np.repeat([0, 1], [n1, n2])
+    lower, upper = np.array([a1, a2])[side], np.array([b1, b2])[side]
+    m = np.array([u, v])[side]
+    W = np.outer(m, m) * np.where(side[:, None] == side, 2, 1)
+    np.fill_diagonal(W, 0.0)
 
-    e, gx, gy, hx, hy = energy_grad(x, y)
+    def energy(z):
+        d = np.abs(z[:, None] - z[None, :])
+        np.fill_diagonal(d, 1.0)
+        return np.inf if d.min() < 1e-300 else float(-(W * np.log(d)).sum())
+
+    z = np.r_[x, y]
+    e = energy(z)
     trace = [e]
-    lam0 = 1.0
-    for _ in range(iterations):
-        lam = lam0
-        for _ in range(60):
-            xn = np.clip(np.sort(x - lam * gx / hx), a1, b1)
-            yn = np.clip(np.sort(y - lam * gy / hy), a2, b2)
-            out = energy_grad(xn, yn)
-            if out[0] < e:
-                x, y = xn, yn
-                e, gx, gy, hx, hy = out
+    while True:
+        d = z[:, None] - z[None, :]
+        np.fill_diagonal(d, 1.0)
+        grad = -2 * (W / d).sum(axis=1)
+        H = -2 * W / (d * d)
+        np.fill_diagonal(H, -H.sum(axis=1))
+        free = ~(((z <= lower) & (grad > 0)) | ((z >= upper) & (grad < 0)))
+        Hf = H[np.ix_(free, free)]
+        Hf[np.diag_indices_from(Hf)] += 1e-10 * Hf.diagonal().mean()
+        step = np.zeros_like(z)
+        step[free] = np.linalg.solve(Hf, -grad[free])
+        for lam in 0.5 ** np.arange(60):
+            zn = z + lam * step
+            zn = np.clip(np.r_[np.sort(zn[:n1]), np.sort(zn[n1:])], lower, upper)
+            en = energy(zn)
+            if en < e:
+                z, e = zn, en
                 break
-            lam /= 2
         else:
             break
-        lam0 = min(lam * 2, 1.0)
         trace.append(e)
 
     def quantile_edge_fit(cloud, hard_edge, far_end):
-        """Soft-edge location from the cloud's empirical quantiles."""
+        """Soft-edge location from the cloud's empirical quantiles.
+
+        The model's cumulative mass is linear in a = gamma * width, so two
+        interpolations serve the whole (width, gamma) grid.
+        """
         pts = np.sort(np.abs(np.asarray(cloud) - hard_edge))
         n = len(pts)
         targets = (np.arange(1, n + 1) - 0.5) / n
@@ -1170,21 +1169,18 @@ def energy_oracle(geometry, c, n_particles=400, iterations=2000):
         ts = np.linspace(0, 1, 4001)
         base = np.sqrt(np.clip(1 - ts, 0, None) / np.clip(ts, 1e-12, None))
         base[0] = base[1]
-        best, best_sse = hi, np.inf
-        for width in np.linspace(lo, hi, 500):
-            s = pts / width
-            for gam in np.linspace(-1.5, 1.5, 31):
-                dens = (1 + gam * ts * width) * base
-                if dens[-1] < 0 or dens[2000] < 0:
-                    continue
-                cum = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2)])
-                cum /= cum[-1]
-                M = np.interp(s, ts, cum)
-                sse = float(((M - targets) ** 2).sum())
-                if sse < best_sse:
-                    best_sse, best = sse, width
+        C0, C1 = (np.r_[0.0, np.cumsum((f[1:] + f[:-1]) / 2)] for f in (base, ts * base))
+        widths = np.linspace(lo, hi, 500)
+        s = pts / widths[:, None]
+        I0, I1 = np.interp(s, ts, C0), np.interp(s, ts, C1)
+        a = widths[:, None] * np.linspace(-1.5, 1.5, 31)
+        M = (I0[:, None, :] + a[:, :, None] * I1[:, None, :]) / (C0[-1] + a * C1[-1])[:, :, None]
+        sse = ((M - targets) ** 2).sum(axis=2)
+        sse[1 + a / 2 < 0] = np.inf
+        best = widths[np.nanargmin(sse) // sse.shape[1]]
         return hard_edge + np.sign(far_end - hard_edge) * best
 
+    x, y = z[:n1], z[n1:]
     beta_raw, alpha_raw = float(x.max()), float(y.min())
     beta_fit = min(quantile_edge_fit(x, a1, b1), b1)
     alpha_fit = max(quantile_edge_fit(y, b2, a2), a2)
@@ -1193,7 +1189,7 @@ def energy_oracle(geometry, c, n_particles=400, iterations=2000):
         "alpha_c2": alpha_fit,
         "beta_c1_raw": beta_raw,
         "alpha_c2_raw": alpha_raw,
-        "energy": float(e),
+        "energy": e,
         "energy_trace": trace,
         "n1": n1,
         "n2": n2,

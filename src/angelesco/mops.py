@@ -478,16 +478,11 @@ def type2_mop(n, mom_pair, ctx):
                 rows.append([mom[k + l] for k in range(N)])
                 rhs.append(-mom[N + l])
         try:
-            coeffs, _ = solve_dense(rows, rhs, ctx, pivot_tol=_hankel_pivot_tol(rows, ctx))
+            coeffs, resid = solve_dense(rows, rhs, ctx, pivot_tol=_hankel_pivot_tol(rows, ctx))
         except SingularSystem as exc:
             raise NormalityFailure(f"type II system singular at {n.as_pair()}") from exc
         p = Poly(coeffs + [mp.mpf(1)])
-        scale = _orthogonality_scale(mom_pair, need)
-        resid = mp.mpf(0)
-        for mom, ni in ((m1, n.n1), (m2, n.n2)):
-            for l in range(ni):
-                resid = max(resid, abs(mp.fsum(c * mom[k + l] for k, c in enumerate(p.coeffs))))
-        if resid > ctx.solve_tolerance * scale:
+        if resid > ctx.solve_tolerance * _orthogonality_scale(mom_pair, need):
             raise InternalInconsistency(
                 f"type II residual {mp.nstr(resid, 5)} exceeds tolerance at {n.as_pair()}")
         return p, resid
@@ -512,19 +507,12 @@ def type1_mop(n, mom_pair, ctx):
             rows.append(row)
         rhs = [mp.mpf(0)] * (N - 1) + [mp.mpf(1)]
         try:
-            sol, _ = solve_dense(rows, rhs, ctx, pivot_tol=_hankel_pivot_tol(rows, ctx))
+            sol, resid = solve_dense(rows, rhs, ctx, pivot_tol=_hankel_pivot_tol(rows, ctx))
         except SingularSystem as exc:
             raise NormalityFailure(f"type I system singular at {n.as_pair()}") from exc
         a1 = Poly(sol[: n.n1]) if n.n1 else None
         a2 = Poly(sol[n.n1:]) if n.n2 else None
-        scale = _orthogonality_scale(mom_pair, need)
-        resid = mp.mpf(0)
-        for l in range(N):
-            v = mp.fsum(c * m1[k + l] for k, c in enumerate(a1.coeffs)) if a1 else mp.mpf(0)
-            v += mp.fsum(c * m2[k + l] for k, c in enumerate(a2.coeffs)) if a2 else mp.mpf(0)
-            target = mp.mpf(1) if l == N - 1 else mp.mpf(0)
-            resid = max(resid, abs(v - target))
-        if resid > ctx.solve_tolerance * scale:
+        if resid > ctx.solve_tolerance * _orthogonality_scale(mom_pair, need):
             raise InternalInconsistency(
                 f"type I residual {mp.nstr(resid, 5)} exceeds tolerance at {n.as_pair()}")
         return a1, a2, resid

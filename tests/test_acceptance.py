@@ -150,7 +150,7 @@ def test_ac03_cross_backend_agreement(thresholds):
                     failures.append(f"c={c_str}: regime {cd.regime}, want {MIDDLE}")
                 if cd.beta_c1 != G0.beta1:
                     failures.append(f"c={c_str}: middle endpoint {mp.nstr(cd.beta_c1, 8)} is not beta1")
-            res = energy_oracle(G0, float(c), n_particles=400, iterations=2500)
+            res = energy_oracle(G0, float(c), n_particles=400)
             ediff = abs(res["beta_c1"] - float(cd.beta_c1))
             if ediff > 0.02:
                 failures.append(f"c={c_str}: energy oracle off by {ediff:.4f}")

@@ -557,13 +557,19 @@ def test_equilibrium_single_interval_limit():
 
 
 def test_energy_oracle_pushed_and_middle():
-    res = energy_oracle(G0, 0.1, n_particles=400, iterations=1500)
-    cd = curve(G0, "0.1", CTX)
-    assert abs(res["beta_c1"] - float(cd.beta_c1)) < 0.02
-    assert abs(res["alpha_c2"] - float(cd.alpha_c2)) < 0.02
-    tr = res["energy_trace"]
-    assert all(b < a for a, b in zip(tr, tr[1:]))
-    res5 = energy_oracle(G0, 0.5, n_particles=200, iterations=800)
+    # c = 0.1 lies above c* on the reference geometry; the other three push
+    # the right support, the left one and the right one of a second geometry
+    g = Geometry("-2.3", "-1", "1", "1.9")
+    for geo, c in ((G0, "0.1"), (G0, "0.95"), (g, "0.05"), (g, "0.96")):
+        res = energy_oracle(geo, float(c), n_particles=400)
+        if c == "0.1":
+            assert abs(res["energy"] - 2.033574616270) < 1e-10
+        cd = curve(geo, c, CTX)
+        assert abs(res["beta_c1"] - float(cd.beta_c1)) < 0.02
+        assert abs(res["alpha_c2"] - float(cd.alpha_c2)) < 0.02
+        tr = res["energy_trace"]
+        assert all(b < a for a, b in zip(tr, tr[1:]))
+    res5 = energy_oracle(G0, 0.5, n_particles=200)
     assert abs(res5["beta_c1"] - float(G0.beta1)) < 0.02
     assert abs(res5["alpha_c2"] - float(G0.alpha2)) < 0.02
 

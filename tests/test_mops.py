@@ -2,7 +2,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from angelesco.errors import DomainError, InvalidWeight, NormalityFailure
+from angelesco import mops
+from angelesco.errors import DomainError, InternalInconsistency, InvalidWeight, NormalityFailure
 from angelesco.mops import (
     AngelescoSystem,
     Geometry,
@@ -14,6 +15,7 @@ from angelesco.mops import (
     moments,
     reference_geometry,
     type1_mop,
+    type2_mop,
 )
 from angelesco.precision import PrecisionContext
 
@@ -100,6 +102,25 @@ def test_type1_reference_values(g0):
     pair = (g0.moment_vector(1, 4), g0.moment_vector(2, 4))
     with pytest.raises(ValueError):
         type1_mop((0, 0), pair, CTX)
+
+
+def test_dense_mops_refuse_a_residual_above_tolerance(g0, monkeypatch):
+    # the true solution perturbed by a relative 2^(-bits/4), returned with
+    # its own residual: both dense solves must refuse it
+    solve = mops.solve_dense
+
+    def perturbed(A, b, ctx, pivot_tol=None):
+        x, _ = solve(A, b, ctx, pivot_tol)
+        with ctx.workprec():
+            x = [v * (1 + mp.mpf(2) ** (-ctx.mantissa_bits / 4)) for v in x]
+            return x, max(abs(mp.fsum(a * v for a, v in zip(row, x)) - r) for row, r in zip(A, b))
+
+    monkeypatch.setattr(mops, "solve_dense", perturbed)
+    pair = (g0.moment_vector(1, 8), g0.moment_vector(2, 8))
+    with pytest.raises(InternalInconsistency, match="type I residual"):
+        type1_mop((3, 2), pair, CTX)
+    with pytest.raises(InternalInconsistency, match="type II residual"):
+        type2_mop((3, 2), pair, CTX)
 
 
 def test_nnrr_reference_values(g0):
